@@ -39,6 +39,7 @@ cheap (see ``benchmarks/test_obs_overhead.py``).
 from repro.obs.export import (
     HttpService,
     MetricsServer,
+    ServiceHandler,
     to_json,
     to_prometheus,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "ScanMetrics",
     "ServeHttpMetrics",
     "ServeMetrics",
+    "ServiceHandler",
     "Stopwatch",
     "StoreMetrics",
     "WatchMetrics",

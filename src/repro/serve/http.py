@@ -67,7 +67,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -83,8 +82,9 @@ from typing import (
 import numpy as np
 
 from repro.core.model import RatioRuleModel
-from repro.obs.export import HttpService
+from repro.obs.export import HttpService, ServiceHandler
 from repro.obs.metrics import ServeHttpMetrics
+from repro.obs.tracing import span
 from repro.serve.batch import BatchFiller
 from repro.serve.registry import ModelRegistry, NoModelPublishedError
 
@@ -143,6 +143,10 @@ class CoalescedFill:
         the request actually coalesced with others).
     wait_seconds:
         Time the request spent queued before its flush.
+    flush_span:
+        Span id of the ``serve.coalescer.flush`` span that served the
+        request (``None`` while tracing is off); it links a request's
+        trace to the batcher thread's ``serve.fill_batch`` spans.
     """
 
     filled: np.ndarray
@@ -151,6 +155,7 @@ class CoalescedFill:
     case: str
     flush_rows: int
     wait_seconds: float
+    flush_span: Optional[str] = None
 
 
 @dataclass
@@ -397,9 +402,10 @@ class DeadlineCoalescer:
 
     def _serve_group(self, live: List[_Ticket], depth_after: int) -> None:
         try:
-            result = self.filler.fill_batch(
-                np.vstack([ticket.row for ticket in live])
-            )
+            with span("serve.coalescer.flush", rows=len(live)) as flush_span:
+                result = self.filler.fill_batch(
+                    np.vstack([ticket.row for ticket in live])
+                )
         except BaseException as exc:
             if isinstance(exc, ValueError) and not isinstance(
                 exc, _BadRequest
@@ -424,6 +430,7 @@ class DeadlineCoalescer:
                 case=result.cases[i],
                 flush_rows=len(live),
                 wait_seconds=waits[i],
+                flush_span=flush_span.span_id,
             )
             ticket.done.set()
         self.metrics.record_flush(
@@ -459,7 +466,7 @@ class _TenantState:
     coalescer: DeadlineCoalescer
 
 
-def _parse_body(handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
+def _parse_body(handler: ServiceHandler) -> Dict[str, Any]:
     """Read and decode the JSON request body.
 
     Whenever the declared body is rejected *without being read* the
@@ -540,13 +547,21 @@ def _parse_assignments(
     return parsed
 
 
-class _ApiHandler(BaseHTTPRequestHandler):
-    """Routes the ``/v1/*`` endpoints onto one :class:`HttpApiServer`."""
+class _ApiHandler(ServiceHandler):
+    """Routes the ``/v1/*`` endpoints onto one :class:`HttpApiServer`.
+
+    Each request runs inside a ``serve.http.request`` span with
+    ``serve.http.parse``, ``serve.http.wait`` (admission plus queue
+    wait) and ``serve.http.reply`` (encode plus write) children.
+    """
 
     # Injected by HttpApiServer via a subclass attribute.
     service: "HttpApiServer"
 
     protocol_version = "HTTP/1.1"
+
+    #: The open ``serve.http.request`` span of the current request.
+    _span: Any
 
     # -- plumbing ----------------------------------------------------------
 
@@ -557,18 +572,10 @@ class _ApiHandler(BaseHTTPRequestHandler):
         *,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            # Tell the client this keep-alive connection is going away
-            # (set when the request body could not be fully consumed).
-            self.send_header("Connection", "close")
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._span.set_attr("status", status)
+        with span("serve.http.reply"):
+            body = json.dumps(payload).encode("utf-8")
+            self.reply(status, body, "application/json; charset=utf-8", headers)
 
     def _error(
         self,
@@ -580,9 +587,6 @@ class _ApiHandler(BaseHTTPRequestHandler):
         self._respond(
             status, {"error": message, "status": status}, headers=headers
         )
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Silence per-request stderr logging."""
 
     # -- routing -----------------------------------------------------------
 
@@ -616,6 +620,15 @@ class _ApiHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         path = self.path.split("?", 1)[0]
+        with span("serve.http.request", method="POST", path=path) as self._span:
+            self._post(path)
+
+    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        path = self.path.split("?", 1)[0]
+        with span("serve.http.request", method="GET", path=path) as self._span:
+            self._get(path)
+
+    def _post(self, path: str) -> None:
         route = self._route_post(path)
         if route is None:
             # The body of an unroutable POST is never read; close the
@@ -626,8 +639,9 @@ class _ApiHandler(BaseHTTPRequestHandler):
         verb, method, tenant = route
         self.service.metrics.record_request(verb)
         try:
-            state = self.service.tenant_state(tenant)
-            payload = _parse_body(self)
+            with span("serve.http.parse"):
+                state = self.service.tenant_state(tenant)
+                payload = _parse_body(self)
             getattr(self, method)(payload, state)
         except _UnknownTenant as exc:
             self.close_connection = True
@@ -652,8 +666,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # flush-side or handler-side failure
             self._error(500, f"{type(exc).__name__}: {exc}")
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        path = self.path.split("?", 1)[0]
+    def _get(self, path: str) -> None:
         if path == "/healthz":
             self.service.metrics.record_request()
             self._handle_healthz()
@@ -699,12 +712,21 @@ class _ApiHandler(BaseHTTPRequestHandler):
             )
         return min(seconds, MAX_TIMEOUT_SECONDS)
 
+    def _coalesced_fill(
+        self, state: "_TenantState", row: np.ndarray, payload: Dict[str, Any]
+    ) -> CoalescedFill:
+        timeout = self._timeout_seconds(payload)
+        with span("serve.http.wait"):
+            outcome = state.coalescer.fill(row, timeout)
+        self._span.set_attr("flush_span", outcome.flush_span)
+        return outcome
+
     def _handle_fill(
         self, payload: Dict[str, Any], state: "_TenantState"
     ) -> None:
         snapshot = state.registry.current()
         row = _parse_row(payload, snapshot.model.schema_.width)
-        outcome = state.coalescer.fill(row, self._timeout_seconds(payload))
+        outcome = self._coalesced_fill(state, row, payload)
         self._respond(
             200,
             {
@@ -742,7 +764,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
                 row[schema.index_of(name)] = baselines[name] * factor
         except KeyError as exc:
             raise _BadRequest(f"unknown attribute: {exc}") from None
-        outcome = state.coalescer.fill(row, self._timeout_seconds(payload))
+        outcome = self._coalesced_fill(state, row, payload)
         self._respond(
             200,
             {
@@ -1090,7 +1112,7 @@ class HttpApiServer(HttpService):
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _handler_class(self) -> Type[BaseHTTPRequestHandler]:
+    def _handler_class(self) -> Type[ServiceHandler]:
         return type("_BoundApiHandler", (_ApiHandler,), {"service": self})
 
     def start(self) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import socket
 import urllib.error
 import urllib.request
 
@@ -21,6 +22,7 @@ import pytest
 from repro.obs.export import (
     HttpService,
     MetricsServer,
+    ServiceHandler,
     to_json,
     to_json_obj,
     to_prometheus,
@@ -286,23 +288,50 @@ class TestMetricsServer:
         """The shared lifecycle shell, not a private reimplementation."""
         assert issubclass(MetricsServer, HttpService)
 
+    @staticmethod
+    def _raw_get(server, request: bytes) -> bytes:
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(request)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    def test_reply_head_is_a_complete_http_response(self):
+        registry = MetricsRegistry()
+        registry.counter("hits_total").inc()
+        with MetricsServer(registry, port=0) as server:
+            raw = self._raw_get(server, b"GET /metrics HTTP/1.0\r\n\r\n")
+        head, body = raw.split(b"\r\n\r\n", 1)
+        status, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        assert status == "HTTP/1.0 200 OK"
+        assert set(headers) == {
+            "Server",
+            "Date",
+            "Content-Type",
+            "Content-Length",
+            "Connection",
+        }
+        assert headers["Connection"] == "close"
+        assert int(headers["Content-Length"]) == len(body)
+        assert b"hits_total 1.0" in body
+
+    def test_http_09_request_gets_the_bare_body(self):
+        registry = MetricsRegistry()
+        registry.counter("hits_total").inc()
+        with MetricsServer(registry, port=0) as server:
+            raw = self._raw_get(server, b"GET /metrics\r\n\r\n")
+        assert raw == to_prometheus(registry).encode("utf-8")
+
 
 class _PingService(HttpService):
     """Minimal HttpService subclass for exercising the base lifecycle."""
 
     def _handler_class(self):
-        from http.server import BaseHTTPRequestHandler
-
-        class _PingHandler(BaseHTTPRequestHandler):
+        class _PingHandler(ServiceHandler):
             def do_GET(self):  # noqa: N802 - BaseHTTPRequestHandler API
-                body = b"pong"
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, format, *args):
-                pass
+                self.reply(200, b"pong", "text/plain")
 
         return _PingHandler
 

@@ -11,17 +11,23 @@ surface: validation (400), shedding (429), expiry (503), routing
 
 from __future__ import annotations
 
+import http.client
+import json
 import socket
+import statistics
 import threading
 import time
+import urllib.request
 
 import numpy as np
 import pytest
 
 from repro.core.recommend import BasketRecommender
 from repro.core.whatif import Scenario, evaluate_scenario
-from repro.obs.export import HttpService
+from repro.obs.export import HttpService, MetricsServer, ServiceHandler
 from repro.obs.metrics import ServeHttpMetrics
+from repro.obs.registry import MetricsRegistry
+from repro.obs.tracing import get_tracer, set_tracing
 from repro.serve import BatchFiller, ModelRegistry
 from repro.serve.http import (
     MAX_BODY_BYTES,
@@ -356,6 +362,129 @@ class TestKeepAliveSafety:
                 response += chunk
         assert b"404" in response.split(b"\r\n", 1)[0]
         assert b"connection: close" in response.lower()
+
+
+def _holey_row() -> np.ndarray:
+    row = make_rank2_matrix(3, n_rows=1)[0]
+    row[1] = np.nan
+    return row
+
+
+class TestReplyStall:
+    """A reply sent as headers, then body, in two small writes waits out
+    a Nagle/delayed-ACK stall (~40 ms) on every keep-alive request."""
+
+    @pytest.fixture
+    def accepted(self, monkeypatch):
+        """Per accepted connection: its TCP_NODELAY flag and the sizes
+        of every write made to its ``wfile``."""
+        seen = []
+        original = ServiceHandler.setup
+
+        def setup(handler):
+            original(handler)
+            writes = []
+            write = handler.wfile.write
+
+            def counting_write(data):
+                writes.append(len(data))
+                return write(data)
+
+            handler.wfile.write = counting_write
+            nodelay = handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            seen.append((type(handler).__name__, nodelay, writes))
+
+        monkeypatch.setattr(ServiceHandler, "setup", setup)
+        return seen
+
+    def test_nodelay_sockets_and_one_write_per_reply(self, accepted, served_model):
+        registry = MetricsRegistry()
+        registry.counter("demo_total", "Demo.").inc()
+        api = HttpApiServer(served_model, port=0, max_batch_rows=1)
+        with api, MetricsServer(registry, port=0) as metrics:
+            status, body, _ = http_post(
+                api.url + "/v1/fill", {"row": _row_payload(_holey_row())}
+            )
+            assert status == 200 and body["filled"]
+            with urllib.request.urlopen(metrics.url, timeout=10) as reply:
+                assert b"demo_total 1.0" in reply.read()
+        handlers = sorted(name for name, _, _ in accepted)
+        assert handlers == ["_BoundApiHandler", "_BoundMetricsHandler"]
+        for _, nodelay, writes in accepted:
+            assert nodelay
+            assert len(writes) == 1
+
+    def test_keepalive_round_trips_do_not_stall(self, served_model):
+        body = json.dumps({"row": _row_payload(_holey_row())}).encode()
+        headers = {"Content-Type": "application/json"}
+        seconds = []
+        with HttpApiServer(served_model, port=0, max_batch_rows=1) as api:
+            conn = http.client.HTTPConnection("127.0.0.1", api.port, timeout=10)
+            try:
+                for _ in range(50):
+                    started = time.perf_counter()
+                    conn.request("POST", "/v1/fill", body=body, headers=headers)
+                    reply = conn.getresponse()
+                    reply.read()
+                    seconds.append(time.perf_counter() - started)
+                    assert reply.status == 200
+            finally:
+                conn.close()
+        assert statistics.median(seconds) < 0.020
+
+
+class TestRequestSpans:
+    def test_traced_fill_links_request_to_its_flush(self, served_model):
+        tracer = get_tracer()
+        tracer.clear()
+        set_tracing(True)
+        try:
+            with HttpApiServer(served_model, port=0, max_batch_rows=1) as api:
+                status, _, _ = http_post(
+                    api.url + "/v1/fill", {"row": _row_payload(_holey_row())}
+                )
+                assert status == 200
+                # The handler closes its span just after the reply leaves.
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline and not any(
+                    s["name"] == "serve.http.request" for s in tracer.spans()
+                ):
+                    time.sleep(0.01)
+        finally:
+            set_tracing(False)
+        spans = tracer.drain()
+        by_id = {s["span_id"]: s for s in spans}
+
+        def children(parent):
+            return sorted(
+                s["name"] for s in spans if s["parent_id"] == parent["span_id"]
+            )
+
+        (request,) = [s for s in spans if s["name"] == "serve.http.request"]
+        assert request["parent_id"] is None
+        assert request["attrs"]["path"] == "/v1/fill"
+        assert request["attrs"]["status"] == 200
+        assert children(request) == [
+            "serve.http.parse",
+            "serve.http.reply",
+            "serve.http.wait",
+        ]
+        flush = by_id[request["attrs"]["flush_span"]]
+        assert flush["name"] == "serve.coalescer.flush"
+        assert flush["attrs"]["rows"] == 1
+        assert children(flush) == ["serve.fill_batch"]
+        (fill_batch,) = [s for s in spans if s["name"] == "serve.fill_batch"]
+        assert children(fill_batch) == ["serve.group_apply"]
+
+    def test_untraced_fill_carries_no_flush_span(self, served_model):
+        coalescer = DeadlineCoalescer(BatchFiller(served_model))
+        coalescer.start()
+        try:
+            assert coalescer.fill(_holey_row(), 5.0).flush_span is None
+        finally:
+            coalescer.stop()
 
 
 class TestServerLifecycle:

@@ -24,6 +24,7 @@ from repro.core.reconstruction import (
     fill_holes,
 )
 from repro.serve import BatchFiller
+from repro.serve.batch import group_hole_patterns
 
 from tests.serve.conftest import make_rank2_matrix
 
@@ -101,6 +102,55 @@ def test_warm_cache_bit_identical_to_cold(masks, seed, cutoff):
     assert cold.cases == warm.cases
     # The second pass must be served from cache: no new operator solves.
     assert filler.cache.misses == len(filler.cache)
+
+
+@st.composite
+def _grouping_masks(draw):
+    """Boolean masks whose rows repeat, with all-hole and no-hole rows.
+
+    Rows are drawn from a small pool (so groups have several members)
+    that always holds the all-True and all-False rows; widths span
+    multiples and non-multiples of the 8-bit packing.
+    """
+    width = draw(st.integers(min_value=1, max_value=20))
+    row = st.lists(st.booleans(), min_size=width, max_size=width)
+    pool = [[True] * width, [False] * width] + draw(
+        st.lists(row, min_size=0, max_size=4)
+    )
+    picks = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=24))
+    return np.array(picks, dtype=bool).reshape(len(picks), width)
+
+
+def _assert_grouping_matches_unique_rows(mask: np.ndarray) -> None:
+    patterns, inverse = group_hole_patterns(mask)
+    expected, expected_inverse = np.unique(mask, axis=0, return_inverse=True)
+    assert patterns.dtype == expected.dtype
+    np.testing.assert_array_equal(patterns, expected)
+    assert patterns.shape == expected.shape
+    np.testing.assert_array_equal(inverse, expected_inverse.ravel())
+    assert inverse.shape == (mask.shape[0],)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=_grouping_masks())
+def test_pattern_grouping_equals_unique_rows(mask):
+    """Same patterns, same order, same inverse as ``np.unique(axis=0)``."""
+    _assert_grouping_matches_unique_rows(mask)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        np.zeros((0, 5), dtype=bool),  # no rows
+        np.array([[True, False, True]]),  # one row
+        np.ones((3, 13), dtype=bool),  # all-hole rows, width not 8k
+        np.zeros((4, 9), dtype=bool),  # no-hole rows, width not 8k
+        np.eye(16, dtype=bool)[::-1],  # patterns across both bytes
+    ],
+    ids=["0-rows", "1-row", "all-holes", "no-holes", "two-bytes"],
+)
+def test_pattern_grouping_edge_cases(mask):
+    _assert_grouping_matches_unique_rows(mask)
 
 
 def test_all_three_regimes_are_reachable():
