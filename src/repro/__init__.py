@@ -25,8 +25,8 @@ Subpackages
     hole-filling, guessing error, outliers, what-if, cleaning,
     visualization, interpretation.
 ``repro.linalg``
-    From-scratch eigensolvers (Jacobi, power iteration, Lanczos) and
-    SVD/pseudo-inverse.
+    Eigensolver backends (LAPACK, a from-scratch Jacobi SVD, Lanczos)
+    and the LAPACK SVD behind the pseudo-inverse.
 ``repro.io``
     On-disk row store, CSV, and streaming readers, including the
     offset-seekable chunk readers behind the parallel scan engine.

@@ -62,6 +62,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.linalg.eigen import BACKENDS
+
 __all__ = ["main", "build_parser"]
 
 
@@ -158,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument(
         "--backend",
         default="numpy",
-        choices=["numpy", "jacobi", "householder", "power", "lanczos"],
+        choices=BACKENDS,
         help="eigensolver backend",
     )
     fit.add_argument(
@@ -474,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument(
         "--backend",
         default="numpy",
-        choices=["numpy", "jacobi", "householder", "power", "lanczos"],
+        choices=BACKENDS,
         help="eigensolver backend for refits",
     )
     pipeline.add_argument(
@@ -656,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch_run.add_argument(
         "--backend",
         default="numpy",
-        choices=["numpy", "jacobi", "householder", "power", "lanczos"],
+        choices=BACKENDS,
         help="eigensolver backend for refits",
     )
     watch_run.add_argument(

@@ -54,7 +54,7 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
         )
     # Singular values of A^t B are the cosines of the principal angles.
     cross = basis_a.T @ basis_b
-    cosines = svd_decompose(cross, backend="numpy").singular_values
+    cosines = svd_decompose(cross).singular_values
     k = min(basis_a.shape[1], basis_b.shape[1])
     padded = np.zeros(k)
     padded[: cosines.shape[0]] = np.clip(cosines, -1.0, 1.0)

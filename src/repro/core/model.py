@@ -42,7 +42,7 @@ from repro.core.reconstruction import (
 from repro.core.rules import RuleSet
 from repro.io.matrix_reader import MatrixReader, open_matrix
 from repro.io.schema import TableSchema
-from repro.linalg.eigen import solve_eigensystem
+from repro.linalg.eigen import check_backend, solve_eigensystem
 from repro.obs.metrics import ScanMetrics, Stopwatch
 
 __all__ = ["RatioRuleModel", "NotFittedError"]
@@ -64,8 +64,11 @@ class RatioRuleModel:
         ``"paper"`` / ``"scree"`` / ``"kaiser"``, or ``None`` for the
         paper's 85% rule (Eq. 1).
     backend:
-        Eigensolver backend: ``"numpy"`` (default), ``"jacobi"``,
-        ``"householder"``, ``"power"``, or ``"lanczos"``.
+        Eigensolver backend, one of
+        :data:`~repro.linalg.eigen.BACKENDS`: ``"numpy"`` (default,
+        LAPACK), ``"jacobi"`` (the from-scratch reference), or
+        ``"lanczos"`` (top-``k`` only).  An unknown name raises
+        ``ValueError`` here rather than after the scan.
     accumulator:
         Covariance accumulator: ``"stable"`` (default) or
         ``"textbook"`` (the paper's Fig. 2a transcription).
@@ -123,7 +126,7 @@ class RatioRuleModel:
         seed: int = 0,
     ) -> None:
         self.cutoff_policy = resolve_cutoff(cutoff)
-        self.backend = backend
+        self.backend = check_backend(backend)
         self.accumulator = accumulator
         self.accumulate_dtype = accumulate_dtype
         self.block_rows = block_rows
@@ -250,15 +253,15 @@ class RatioRuleModel:
         self.total_variance_ = float(eigen.total_variance)
 
     def _solve(self, scatter: np.ndarray, n_cols: int):
-        """Run the eigensolver, handling top-k-only backends.
+        """Run the eigensolver, handling the top-k-only backend.
 
         Dense backends ("numpy", "jacobi") return the full spectrum and
-        let the cutoff policy pick freely.  Iterative backends
-        ("power", "lanczos") need ``k`` up front: for a fixed cutoff we
-        request exactly that; otherwise we grow the request until the
-        policy's choice fits inside what was computed.
+        let the cutoff policy pick freely.  The iterative "lanczos"
+        needs ``k`` up front: for a fixed cutoff we request exactly
+        that; otherwise we grow the request until the policy's choice
+        fits inside what was computed.
         """
-        if self.backend in ("numpy", "jacobi", "householder"):
+        if self.backend != "lanczos":
             return solve_eigensystem(scatter, backend=self.backend)
 
         if isinstance(self.cutoff_policy, FixedCutoff):

@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.covariance import DecayingCovariance, StreamingCovariance
 from repro.core.model import RatioRuleModel
 from repro.io.schema import TableSchema
+from repro.linalg.eigen import check_backend
 
 __all__ = ["OnlineRatioRuleModel"]
 
@@ -91,7 +92,7 @@ class OnlineRatioRuleModel:
                 f"schema width {self._schema.width} != n_cols {n_cols}"
             )
         self._cutoff = cutoff
-        self._backend = backend
+        self._backend = check_backend(backend)
         self._min_rows = min_rows
         self._cached_model: Optional[RatioRuleModel] = None
         self._updates_seen = 0

@@ -291,7 +291,7 @@ def compute_fill_operator(
     if needs_pinv:
         from repro.linalg.svd import pseudo_inverse
 
-        solver = pseudo_inverse(v_known, backend="numpy")
+        solver = pseudo_inverse(v_known)
     else:
         solver = np.linalg.inv(v_known)
     return FillOperator(

@@ -1,39 +1,31 @@
 """Linear-algebra substrate for Ratio Rules.
 
 The paper (Sec. 4.2, Fig. 2b) computes Ratio Rules with an
-"off-the-shelf eigensystem package".  This subpackage provides that
-substrate from scratch:
+"off-the-shelf eigensystem package"; the library's default is exactly
+that, LAPACK via ``numpy.linalg``.  Three eigensolver backends remain,
+each serving a production path, a paper figure or the tests:
 
-- :mod:`repro.linalg.jacobi` -- a cyclic Jacobi eigensolver for dense
-  symmetric matrices (the classic choice of Numerical Recipes, the
-  paper's reference [17]);
-- :mod:`repro.linalg.householder` -- Householder tridiagonalization +
-  QL: the faster classical dense pipeline (NR ``tred2`` + ``tqli``);
-- :mod:`repro.linalg.tridiagonal` -- the QL-with-implicit-shifts core
-  shared by Householder and Lanczos;
-- :mod:`repro.linalg.power` -- power iteration with deflation, which
-  extracts only the top-``k`` eigenpairs;
-- :mod:`repro.linalg.lanczos` -- a Lanczos solver suited to the large,
-  sparse covariance matrices mentioned in the paper's footnote 1;
-- :mod:`repro.linalg.sparse` -- a from-scratch CSR matrix with the
-  matvec kernels the implicit covariance operator needs;
-- :mod:`repro.linalg.svd` -- singular value decomposition and the
-  Moore-Penrose pseudo-inverse (Eq. 7-8), built on our eigensolvers;
-- :mod:`repro.linalg.eigen` -- a uniform front-end
-  (:func:`~repro.linalg.eigen.solve_eigensystem`) that dispatches among
-  the backends (including ``numpy.linalg.eigh``) and post-processes the
-  results (descending sort, sign canonicalization).
+- ``"numpy"`` -- LAPACK ``eigh``, the default;
+- ``"jacobi"`` -- :mod:`repro.linalg.jacobi`, a from-scratch one-sided
+  (Hestenes) Jacobi SVD (Numerical Recipes, the paper's reference
+  [17]).  It is the independent reference the tests check LAPACK
+  against, for the eigensystem and for the pseudo-inverse alike;
+- ``"lanczos"`` -- :mod:`repro.linalg.lanczos`, a Krylov solver for the
+  large, sparse covariance matrices of the paper's footnote 1, with
+  :mod:`repro.linalg.tridiagonal` (QL with implicit shifts) as its
+  inner solver and :mod:`repro.linalg.sparse` (a CSR matrix) for the
+  implicit covariance operator.
 
-All solvers are validated against ``numpy.linalg`` in the test suite;
-``numpy`` remains the default backend for speed.
+:mod:`repro.linalg.svd` holds the one SVD the library runs: LAPACK's,
+on the matrix itself, behind the Moore-Penrose pseudo-inverse of
+Eq. 7-8.  :mod:`repro.linalg.eigen` is the uniform front-end
+(:func:`~repro.linalg.eigen.solve_eigensystem`) that dispatches among
+the backends and post-processes the results (descending sort, sign
+canonicalization).
 """
 
 from repro.linalg.eigen import EigenResult, solve_eigensystem
-from repro.linalg.householder import (
-    householder_eigensystem,
-    householder_tridiagonalize,
-)
-from repro.linalg.jacobi import jacobi_eigensystem
+from repro.linalg.jacobi import jacobi_svd
 from repro.linalg.lanczos import lanczos_eigensystem
 from repro.linalg.matrix_utils import (
     canonicalize_sign,
@@ -42,7 +34,6 @@ from repro.linalg.matrix_utils import (
     relative_residual,
     symmetrize,
 )
-from repro.linalg.power import power_iteration_eigensystem
 from repro.linalg.sparse import CSRMatrix
 from repro.linalg.svd import (
     SVDResult,
@@ -58,13 +49,10 @@ __all__ = [
     "SVDResult",
     "canonicalize_sign",
     "center_columns",
-    "householder_eigensystem",
-    "householder_tridiagonalize",
     "is_orthonormal",
-    "jacobi_eigensystem",
+    "jacobi_svd",
     "lanczos_eigensystem",
     "least_squares_solve",
-    "power_iteration_eigensystem",
     "pseudo_inverse",
     "relative_residual",
     "solve_eigensystem",

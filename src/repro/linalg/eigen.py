@@ -18,16 +18,22 @@ from typing import Optional
 
 import numpy as np
 
-from repro.linalg.householder import householder_eigensystem
-from repro.linalg.jacobi import jacobi_eigensystem
+from repro.linalg.jacobi import jacobi_svd
 from repro.linalg.lanczos import lanczos_eigensystem
 from repro.linalg.matrix_utils import canonicalize_sign, symmetrize
-from repro.linalg.power import power_iteration_eigensystem
 
-__all__ = ["EigenResult", "solve_eigensystem", "BACKENDS"]
+__all__ = ["EigenResult", "solve_eigensystem", "check_backend", "BACKENDS"]
 
-#: Names accepted by :func:`solve_eigensystem`.
-BACKENDS = ("numpy", "jacobi", "householder", "power", "lanczos")
+#: Names accepted by :func:`solve_eigensystem`.  The first two are dense
+#: (full spectrum); ``"lanczos"`` computes only the top ``k`` pairs.
+BACKENDS = ("numpy", "jacobi", "lanczos")
+
+
+def check_backend(backend: str) -> str:
+    """Return ``backend`` unchanged, or raise ``ValueError`` if unknown."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    return backend
 
 
 @dataclass(frozen=True)
@@ -94,23 +100,25 @@ def solve_eigensystem(
     Parameters
     ----------
     matrix:
-        Real symmetric ``M x M`` matrix, typically a covariance matrix.
+        Real symmetric PSD ``M x M`` matrix, typically a scatter matrix.
     backend:
         One of ``"numpy"`` (LAPACK ``eigh``; the default), ``"jacobi"``
-        (our cyclic Jacobi), ``"power"`` (power iteration + deflation),
-        or ``"lanczos"`` (Krylov; best for large ``M`` and small ``k``).
+        (the from-scratch one-sided Jacobi SVD, whose singular values
+        are the eigenvalues of a PSD matrix), or ``"lanczos"`` (Krylov;
+        best for large ``M`` and small ``k``).
     k:
         Number of leading eigenpairs to return.  ``None`` means all
         ``M`` for the dense backends and is rejected for ``"lanczos"``
         (which is only sensible for ``k << M``).
     seed:
-        Random seed for the iterative backends.
+        Random seed for the ``"lanczos"`` backend.
 
     Returns
     -------
     EigenResult
         Normalized, descending, sign-canonicalized eigenpairs.
     """
+    check_backend(backend)
     work = symmetrize(np.asarray(matrix, dtype=np.float64))
     size = work.shape[0]
     total_variance = float(np.trace(work))
@@ -118,28 +126,20 @@ def solve_eigensystem(
     if k is not None and not 1 <= k <= size:
         raise ValueError(f"k must be in [1, {size}], got {k}")
 
-    if backend == "numpy":
-        values, vectors = np.linalg.eigh(work)
-        order = np.argsort(values)[::-1]
-        values, vectors = values[order], vectors[:, order]
-        if k is not None:
-            values, vectors = values[:k], vectors[:, :k]
-    elif backend == "jacobi":
-        values, vectors = jacobi_eigensystem(work)
-        if k is not None:
-            values, vectors = values[:k], vectors[:, :k]
-    elif backend == "householder":
-        values, vectors = householder_eigensystem(work)
-        if k is not None:
-            values, vectors = values[:k], vectors[:, :k]
-    elif backend == "power":
-        values, vectors = power_iteration_eigensystem(work, k, seed=seed)
-    elif backend == "lanczos":
+    if backend == "lanczos":
         if k is None:
             raise ValueError("the 'lanczos' backend requires an explicit k")
         values, vectors = lanczos_eigensystem(work, k, seed=seed)
     else:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+        if backend == "numpy":
+            values, vectors = np.linalg.eigh(work)
+            order = np.argsort(values)[::-1]
+            values, vectors = values[order], vectors[:, order]
+        else:
+            _u, values, vt = jacobi_svd(work)
+            vectors = vt.T
+        if k is not None:
+            values, vectors = values[:k], vectors[:, :k]
 
     # Covariance matrices are PSD; clamp round-off negatives.
     values = np.where(values > 0.0, values, 0.0)

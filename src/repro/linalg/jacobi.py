@@ -1,16 +1,19 @@
-"""Cyclic Jacobi eigensolver for real symmetric matrices.
+"""One-sided (Hestenes) Jacobi SVD: the from-scratch reference solver.
 
-The paper's reference implementation used "any off-the-shelf
-eigensystem package" and cites Numerical Recipes [17], whose symmetric
-eigensolver of choice is the Jacobi rotation method.  We implement the
-cyclic-by-row variant: sweep over all super-diagonal pivots, annihilate
-each with a Givens rotation, and repeat until the off-diagonal mass is
-below a tolerance.
+The paper computes Ratio Rules with "an off-the-shelf eigensystem
+package" and cites Numerical Recipes [17]; the library does the same
+with LAPACK.  This module is the independent check on that package.
+One-sided Jacobi rotates pairs of columns of ``A`` until every pair is
+orthogonal to working precision.  The column norms are then the
+singular values, the normalized columns the left singular vectors, and
+the accumulated rotations the right singular vectors.  It never forms
+``A^t A``, so it does not square the condition number, which makes it
+a fair referee for :func:`repro.linalg.svd.pseudo_inverse`.
 
-Jacobi is O(M^3) per sweep with a handful of sweeps in practice --
-entirely adequate for the paper's regime (M in the hundreds), and it
-delivers small relative errors on every eigenpair, which makes it a
-good independent check on ``numpy.linalg.eigh``.
+On a symmetric PSD matrix (a scatter matrix) the singular values are
+the eigenvalues and the right singular vectors are eigenvectors, so
+:func:`repro.linalg.eigen.solve_eigensystem` uses it as its
+``"jacobi"`` backend.
 """
 
 from __future__ import annotations
@@ -19,116 +22,93 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.linalg.matrix_utils import symmetrize
-
-__all__ = ["jacobi_eigensystem", "JacobiNotConverged"]
+__all__ = ["jacobi_svd", "JacobiNotConverged"]
 
 #: Default maximum number of full sweeps before giving up.
-DEFAULT_MAX_SWEEPS = 100
+DEFAULT_MAX_SWEEPS = 60
 
 
 class JacobiNotConverged(RuntimeError):
-    """Raised when the Jacobi sweeps fail to reduce the off-diagonal mass."""
+    """Raised when the sweeps leave some column pair non-orthogonal."""
 
 
-def _off_diagonal_norm(matrix: np.ndarray) -> float:
-    """Frobenius norm of the strictly off-diagonal part."""
-    off = matrix - np.diag(np.diag(matrix))
-    return float(np.linalg.norm(off))
-
-
-def _rotate(matrix: np.ndarray, vectors: np.ndarray, p: int, q: int) -> None:
-    """Apply one Jacobi rotation annihilating ``matrix[p, q]`` in place.
-
-    Uses the numerically stable formulation from Numerical Recipes:
-    solve for ``t = tan(theta)`` via the root of smaller magnitude of
-    ``t^2 + 2 t / tau - 1 = 0`` where ``tau = (a_qq - a_pp) / (2 a_pq)``.
-    """
-    apq = matrix[p, q]
-    if apq == 0.0:
-        return
-    app = matrix[p, p]
-    aqq = matrix[q, q]
-    tau = (aqq - app) / (2.0 * apq)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    # Update the two affected rows/columns of the symmetric matrix.
-    row_p = matrix[p, :].copy()
-    row_q = matrix[q, :].copy()
-    matrix[p, :] = c * row_p - s * row_q
-    matrix[q, :] = s * row_p + c * row_q
-    col_p = matrix[:, p].copy()
-    col_q = matrix[:, q].copy()
-    matrix[:, p] = c * col_p - s * col_q
-    matrix[:, q] = s * col_p + c * col_q
-    # Set the annihilated pair exactly to zero to avoid drift.
-    matrix[p, q] = 0.0
-    matrix[q, p] = 0.0
-
-    # Accumulate the rotation into the eigenvector matrix.
-    vec_p = vectors[:, p].copy()
-    vec_q = vectors[:, q].copy()
-    vectors[:, p] = c * vec_p - s * vec_q
-    vectors[:, q] = s * vec_p + c * vec_q
-
-
-def jacobi_eigensystem(
-    matrix: np.ndarray,
-    *,
-    tol: float = 1e-12,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Compute all eigenpairs of a real symmetric matrix by cyclic Jacobi.
+def jacobi_svd(
+    matrix: np.ndarray, *, max_sweeps: int = DEFAULT_MAX_SWEEPS
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``A = U diag(s) V^t`` by cyclic one-sided Jacobi.
 
     Parameters
     ----------
     matrix:
-        Real symmetric ``M x M`` matrix.  (It is symmetrized defensively;
-        passing a markedly non-symmetric matrix is a caller bug.)
-    tol:
-        Convergence threshold on the off-diagonal Frobenius norm,
-        relative to the initial matrix norm.
+        Any finite, non-empty real ``m x n`` matrix.
     max_sweeps:
-        Maximum number of full pivot sweeps.
+        Maximum number of sweeps over all column pairs.
 
     Returns
     -------
-    (eigenvalues, eigenvectors):
-        Eigenvalues in *descending* order and the matching eigenvectors
-        as columns of an ``M x M`` orthogonal matrix.
+    (u, s, vt):
+        ``u`` is ``m x r`` and ``vt`` is ``r x n`` with ``r = min(m, n)``;
+        ``s`` holds the singular values in descending order.  Columns of
+        ``u`` that belong to a zero singular value are zero.
 
     Raises
     ------
     JacobiNotConverged
-        If ``max_sweeps`` sweeps do not reach the tolerance.
+        If ``max_sweeps`` sweeps do not orthogonalize every column pair.
     """
-    work = symmetrize(np.array(matrix, dtype=np.float64, copy=True))
-    size = work.shape[0]
-    vectors = np.eye(size)
-    if size == 1:
-        return work.diagonal().copy(), vectors
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"matrix must be 2-d and non-empty, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix must be finite")
+    rows, cols = a.shape
+    if rows < cols:
+        v, singular, ut = jacobi_svd(a.T, max_sweeps=max_sweeps)
+        return ut.T, singular, v.T
 
-    scale = max(float(np.linalg.norm(work)), np.finfo(np.float64).tiny)
-    threshold = tol * scale
+    # Scale by a power of two (exact) so the largest entry is ~1.  Row j
+    # of ``work`` holds column j of A V followed by column j of V, so one
+    # rotation of two rows updates both factors.
+    exponent = int(np.frexp(np.abs(a).max())[1])
+    work = np.hstack([np.ldexp(a.T, -exponent), np.eye(cols)])
+    tol = rows * np.finfo(np.float64).eps
+    # A column with squared norm below ``negligible`` is numerically zero
+    # next to the unit-scale ones; its inner products would sit in the
+    # underflow range, where rotating it would never settle.
+    negligible = np.finfo(np.float64).tiny / np.finfo(np.float64).eps ** 2
     for _sweep in range(max_sweeps):
-        if _off_diagonal_norm(work) <= threshold:
+        rotated = False
+        for p in range(cols - 1):
+            for q in range(p + 1, cols):
+                x, y = work[p, :rows], work[q, :rows]
+                alpha, beta, gamma = x @ x, y @ y, x @ y
+                if min(alpha, beta) < negligible:
+                    continue
+                if abs(gamma) <= tol * np.sqrt(alpha) * np.sqrt(beta):
+                    continue
+                # t = tan(theta) is the smaller root of t^2 + 2 zeta t = 1.
+                # zeta reaches ~1e292 here, so zeta^2 would overflow; hypot
+                # does not, and a huge zeta gives t ~ 1/(2 zeta).
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = np.copysign(1.0, zeta) / (abs(zeta) + np.hypot(1.0, zeta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                old_p = work[p].copy()
+                work[p] = c * old_p - s * work[q]
+                work[q] = s * old_p + c * work[q]
+                rotated = True
+        if not rotated:
             break
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                # Skip pivots already negligible relative to their diagonal.
-                if abs(work[p, q]) > threshold / (size * size):
-                    _rotate(work, vectors, p, q)
     else:
         raise JacobiNotConverged(
-            f"Jacobi failed to converge in {max_sweeps} sweeps "
-            f"(off-diagonal norm {_off_diagonal_norm(work):.3e}, tol {threshold:.3e})"
+            f"one-sided Jacobi left column pairs non-orthogonal after "
+            f"{max_sweeps} sweeps"
         )
 
-    eigenvalues = work.diagonal().copy()
-    order = np.argsort(eigenvalues)[::-1]
-    return eigenvalues[order], vectors[:, order]
+    norms = np.linalg.norm(work[:, :rows], axis=1)
+    order = np.argsort(-norms, kind="stable")
+    norms = norms[order]
+    u = np.divide(
+        work[order, :rows].T, norms, out=np.zeros((rows, cols)), where=norms > 0.0
+    )
+    return u, np.ldexp(norms, exponent), work[order, rows:]

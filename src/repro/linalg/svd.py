@@ -3,33 +3,27 @@
 The hole-filling algorithm's over-specified case (Sec. 4.4, CASE 2)
 solves ``V' x = b'`` with more equations than unknowns by the
 pseudo-inverse of ``V'`` (the paper's Eq. 7-9, following Numerical
-Recipes [17]).  We build the SVD from scratch on top of our own
-symmetric eigensolvers: for an ``m x n`` matrix ``A``, the eigenvectors
-of the smaller Gram matrix (``A^t A`` or ``A A^t``) give one set of
-singular vectors; the other follows by multiplying through ``A``.
-
-The Gram-matrix route squares the condition number, which is fine here:
-``V'`` is a slice of an orthonormal eigenvector matrix, so its singular
-values are at most 1 and typically well separated from zero.  A
-relative cutoff guards the rank-deficient cases.
+Recipes [17]).  The SVD comes from LAPACK (``numpy.linalg.svd``) on
+the matrix itself.  Working on ``A`` rather than on ``A^t A`` keeps the
+condition number unsquared, so ``pseudo_inverse`` agrees with
+``numpy.linalg.pinv`` to round-off even at condition numbers near
+1e6.  A relative cutoff guards the rank-deficient cases.  The
+from-scratch :func:`repro.linalg.jacobi.jacobi_svd` is the reference
+the tests check this against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from repro.linalg.jacobi import jacobi_eigensystem
-
 __all__ = ["SVDResult", "svd_decompose", "pseudo_inverse", "least_squares_solve"]
 
-#: Relative singular-value cutoff below which directions are treated as
-#: null.  The Gram-matrix construction computes singular values as
-#: square roots of eigenvalues, so values below ~sqrt(machine epsilon)
-#: relative (~1.5e-8) are indistinguishable from round-off; the default
-#: sits just above that resolution limit.
+#: Relative singular-value cutoff.  A direction whose singular value is
+#: below ``DEFAULT_RCOND * s_max`` carries no rule information: filling
+#: holes through it would scale noise in the known cells by more than
+#: 1e7, so it is dropped (treated as an exact zero).
 DEFAULT_RCOND = 1e-7
 
 
@@ -61,13 +55,8 @@ class SVDResult:
         return self.u @ np.diag(self.singular_values) @ self.vt
 
 
-def svd_decompose(
-    matrix: np.ndarray,
-    *,
-    rcond: float = DEFAULT_RCOND,
-    backend: str = "jacobi",
-) -> SVDResult:
-    """Thin SVD of a dense matrix, built on a symmetric eigensolver.
+def svd_decompose(matrix: np.ndarray, *, rcond: float = DEFAULT_RCOND) -> SVDResult:
+    """Thin SVD of a dense matrix (LAPACK), truncated at the rank cutoff.
 
     Parameters
     ----------
@@ -75,11 +64,7 @@ def svd_decompose(
         Any real ``m x n`` matrix.
     rcond:
         Singular values below ``rcond * max(singular_values)`` are
-        dropped (treated as exact zeros).
-    backend:
-        ``"jacobi"`` uses our from-scratch solver on the Gram matrix;
-        ``"numpy"`` defers to ``numpy.linalg.eigh`` (still via the Gram
-        matrix, for an apples-to-apples code path).
+        dropped (treated as exact zeros), as are subnormal ones.
 
     Returns
     -------
@@ -90,99 +75,27 @@ def svd_decompose(
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-d, got ndim={matrix.ndim}")
-    rows, cols = matrix.shape
-    if rows == 0 or cols == 0:
+    if matrix.size == 0:
         raise ValueError(f"matrix must be non-empty, got shape {matrix.shape}")
-
-    # Normalize to unit Frobenius norm before forming the Gram matrix:
-    # squaring very small (or very large) entries would otherwise
-    # underflow (overflow) and corrupt the rank decision.  Singular
-    # values scale linearly, so they are restored afterwards.
-    norm = float(np.linalg.norm(matrix))
-    if norm == 0.0:
-        return SVDResult(np.zeros((rows, 0)), np.empty(0), np.zeros((0, cols)))
-    scaled = matrix / norm
-    inner = svd_decompose_normalized(scaled, rcond=rcond, backend=backend)
-    return SVDResult(inner.u, inner.singular_values * norm, inner.vt)
+    u, singular, vt = np.linalg.svd(matrix, full_matrices=False)
+    # Below the smallest normal float a reciprocal overflows: treat as zero.
+    cutoff = max(rcond * singular[0], np.finfo(np.float64).tiny)
+    rank = int(np.count_nonzero(singular > cutoff))
+    return SVDResult(u[:, :rank], singular[:rank], vt[:rank])
 
 
-def svd_decompose_normalized(
-    matrix: np.ndarray,
-    *,
-    rcond: float = DEFAULT_RCOND,
-    backend: str = "jacobi",
-) -> SVDResult:
-    """Gram-matrix SVD of a matrix already scaled to moderate norm."""
-    rows, cols = matrix.shape
-    # Decompose the smaller Gram matrix.
-    if cols <= rows:
-        gram = matrix.T @ matrix
-        values, right = _symmetric_eigensystem(gram, backend)
-        values = np.clip(values, 0.0, None)
-        singular = np.sqrt(values)
-        keep = singular > rcond * max(
-            float(singular[0]) if singular.size else 0.0, np.finfo(np.float64).tiny
-        )
-        right = right[:, keep]
-        singular = singular[keep]
-        if singular.size == 0:
-            # Zero matrix: rank-0 decomposition.
-            return SVDResult(np.zeros((rows, 0)), singular, np.zeros((0, cols)))
-        left = (matrix @ right) / singular[np.newaxis, :]
-        return SVDResult(left, singular, right.T)
-
-    gram = matrix @ matrix.T
-    values, left = _symmetric_eigensystem(gram, backend)
-    values = np.clip(values, 0.0, None)
-    singular = np.sqrt(values)
-    keep = singular > rcond * max(
-        float(singular[0]) if singular.size else 0.0, np.finfo(np.float64).tiny
-    )
-    left = left[:, keep]
-    singular = singular[keep]
-    if singular.size == 0:
-        return SVDResult(np.zeros((rows, 0)), singular, np.zeros((0, cols)))
-    right = (matrix.T @ left) / singular[np.newaxis, :]
-    return SVDResult(left, singular, right.T)
-
-
-def _symmetric_eigensystem(
-    gram: np.ndarray, backend: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Descending-order eigensystem of a symmetric PSD Gram matrix."""
-    if backend == "jacobi":
-        return jacobi_eigensystem(gram)
-    if backend == "numpy":
-        values, vectors = np.linalg.eigh((gram + gram.T) / 2.0)
-        order = np.argsort(values)[::-1]
-        return values[order], vectors[:, order]
-    raise ValueError(f"unknown SVD backend {backend!r}; expected 'jacobi' or 'numpy'")
-
-
-def pseudo_inverse(
-    matrix: np.ndarray,
-    *,
-    rcond: float = DEFAULT_RCOND,
-    backend: str = "jacobi",
-) -> np.ndarray:
+def pseudo_inverse(matrix: np.ndarray, *, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via the SVD (the paper's Eq. 8).
 
     ``A+ = V diag(1 / s_j) U^t`` over the numerically nonzero singular
-    values.
+    values (all zeros for a rank-0 matrix).
     """
-    result = svd_decompose(matrix, rcond=rcond, backend=backend)
-    if result.rank == 0:
-        matrix = np.asarray(matrix)
-        return np.zeros((matrix.shape[1], matrix.shape[0]))
-    return result.vt.T @ np.diag(1.0 / result.singular_values) @ result.u.T
+    result = svd_decompose(matrix, rcond=rcond)
+    return (result.vt.T / result.singular_values) @ result.u.T
 
 
 def least_squares_solve(
-    matrix: np.ndarray,
-    rhs: np.ndarray,
-    *,
-    rcond: float = DEFAULT_RCOND,
-    backend: str = "jacobi",
+    matrix: np.ndarray, rhs: np.ndarray, *, rcond: float = DEFAULT_RCOND
 ) -> np.ndarray:
     """Minimum-norm least-squares solution of ``matrix @ x = rhs``.
 
@@ -193,4 +106,4 @@ def least_squares_solve(
     the system is rank-deficient.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    return pseudo_inverse(matrix, rcond=rcond, backend=backend) @ rhs
+    return pseudo_inverse(matrix, rcond=rcond) @ rhs

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.model import NotFittedError, RatioRuleModel
+from repro.core.online import OnlineRatioRuleModel
 from repro.io.rowstore import RowStore
 from repro.io.schema import TableSchema
+from repro.linalg.eigen import BACKENDS
+from repro.pipeline import IngestionPipeline, QueueSource
+from repro.watch import RowQuarantine, WatchDaemon
 
 
 class TestFigure1:
@@ -88,9 +92,7 @@ class TestFitBasics:
 
 
 class TestBackends:
-    @pytest.mark.parametrize(
-        "backend", ["numpy", "jacobi", "householder", "power", "lanczos"]
-    )
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_backends_agree(self, correlated_matrix, backend):
         reference = RatioRuleModel(cutoff=2).fit(correlated_matrix)
         model = RatioRuleModel(cutoff=2, backend=backend).fit(correlated_matrix)
@@ -101,7 +103,26 @@ class TestBackends:
             model.eigenvalues_, reference.eigenvalues_, rtol=1e-5
         )
 
-    @pytest.mark.parametrize("backend", ["power", "lanczos"])
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda tmp: RatioRuleModel(backend="power"),
+            lambda tmp: OnlineRatioRuleModel(3, backend="power"),
+            lambda tmp: IngestionPipeline(QueueSource(3), backend="power"),
+            lambda tmp: WatchDaemon(
+                QueueSource(3),
+                quarantine=RowQuarantine(tmp / "quarantine.jsonl"),
+                backend="power",
+            ),
+        ],
+        ids=["model", "online", "pipeline", "watch"],
+    )
+    def test_unknown_backend_rejected_at_construction(self, tmp_path, construct):
+        """A removed backend fails before any scan, not at the first solve."""
+        with pytest.raises(ValueError, match="unknown backend 'power'"):
+            construct(tmp_path)
+
+    @pytest.mark.parametrize("backend", ["lanczos"])
     def test_iterative_backends_with_energy_cutoff(self, correlated_matrix, backend):
         """Adaptive k-growth must satisfy the 85% rule."""
         model = RatioRuleModel(backend=backend).fit(correlated_matrix)

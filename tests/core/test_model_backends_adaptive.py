@@ -1,4 +1,4 @@
-"""Tests for the adaptive k-growth of iterative backends."""
+"""Tests for the adaptive k-growth of the iterative (Lanczos) backend."""
 
 import numpy as np
 import pytest
@@ -18,18 +18,18 @@ def wide_rank3(rng):
 
 
 class TestAdaptiveGrowth:
-    @pytest.mark.parametrize("backend", ["power", "lanczos"])
-    def test_scree_cutoff_with_iterative_backend(self, wide_rank3, backend):
-        model = RatioRuleModel(cutoff=ScreeCutoff(), backend=backend).fit(wide_rank3)
+    def test_scree_cutoff_with_iterative_backend(self, wide_rank3):
+        model = RatioRuleModel(cutoff=ScreeCutoff(), backend="lanczos").fit(
+            wide_rank3
+        )
         # The scree elbow on rank-3 data is within the first 3 rules.
         assert 1 <= model.k <= 3
 
-    @pytest.mark.parametrize("backend", ["power", "lanczos"])
-    def test_energy_cutoff_grows_until_threshold(self, rng, backend):
+    def test_energy_cutoff_grows_until_threshold(self, rng):
         """A flat spectrum needs many rules; the growth loop must keep
         requesting more eigenpairs until 85% is covered."""
         matrix = rng.standard_normal((300, 24))  # white noise: flat spectrum
-        model = RatioRuleModel(backend=backend).fit(matrix)
+        model = RatioRuleModel(backend="lanczos").fit(matrix)
         assert model.rules_.total_energy_fraction() >= 0.85 - 1e-9
         assert model.k > 8  # more than the initial request
 

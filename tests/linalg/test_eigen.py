@@ -16,7 +16,7 @@ class TestSolveEigensystem:
         assert result.backend == backend
         assert_eigenpairs_valid(matrix, result.eigenvalues, result.eigenvectors)
 
-    @pytest.mark.parametrize("backend", ["numpy", "jacobi", "power", "lanczos"])
+    @pytest.mark.parametrize("backend", ["numpy", "jacobi", "lanczos"])
     def test_top_k_agreement_across_backends(self, rng, backend):
         matrix = random_symmetric_psd(rng, 10)
         result = solve_eigensystem(matrix, backend=backend, k=3)
