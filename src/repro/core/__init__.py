@@ -111,6 +111,7 @@ from repro.core.outliers import (
     calibrate_residuals,
     detect_cell_outliers,
     detect_row_outliers,
+    leave_one_out_errors,
     reconstruction_residuals,
     score_rows,
 )
@@ -181,6 +182,7 @@ __all__ = [
     "cross_validate_cutoff",
     "detect_cell_outliers",
     "detect_row_outliers",
+    "leave_one_out_errors",
     "reconstruction_residuals",
     "score_rows",
     "enumerate_hole_sets",

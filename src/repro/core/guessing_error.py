@@ -15,6 +15,11 @@ future rule paradigm.  Estimators plug in through a tiny protocol:
 - ``fill_row(row_with_nans) -> filled_row`` (required), and/or
 - ``predict_holes(matrix, hole_indices) -> predictions`` (optional
   batch fast path; one call per hole pattern instead of one per row).
+
+For a :class:`~repro.core.model.RatioRuleModel`, ``GE1`` takes every
+single-hole error from one closed-form
+:func:`~repro.core.outliers.leave_one_out_errors` call instead of one
+fill operator per column.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.core.model import RatioRuleModel
+from repro.core.outliers import leave_one_out_errors
 
 __all__ = [
     "GuessingErrorReport",
@@ -169,12 +177,17 @@ def guessing_error(
         if not sets:
             raise ValueError("hole_sets must be non-empty")
 
+    errors = None
+    if h == 1 and isinstance(estimator, RatioRuleModel):
+        errors = leave_one_out_errors(estimator, test_matrix)
     squared_sum = 0.0
     per_column_sums: Dict[int, float] = {}
     for holes in sets:
-        predictions = _predict_pattern(estimator, test_matrix, holes)
-        truth = test_matrix[:, list(holes)]
-        squared = (predictions - truth) ** 2
+        if errors is not None:
+            squared = errors[:, list(holes)] ** 2
+        else:
+            predictions = _predict_pattern(estimator, test_matrix, holes)
+            squared = (predictions - test_matrix[:, list(holes)]) ** 2
         squared_sum += float(squared.sum())
         if h == 1:
             per_column_sums[holes[0]] = float(squared.sum())

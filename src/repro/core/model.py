@@ -402,7 +402,10 @@ class RatioRuleModel:
             tiled = np.tile(self.means_[holes], (matrix.shape[0], 1))
         else:
             fill_op = compute_fill_operator(holes.tolist(), rules.matrix, n_cols)
-            centered_known = matrix[:, known] - self.means_[known]
+            # Row-major, like fill_row's block: the einsum then sums each
+            # row in the same order whatever the batch, so every
+            # prediction equals fill_row's bit for bit.
+            centered_known = np.take(matrix, known, axis=1) - self.means_[known]
             tiled = (
                 apply_fill_operator(fill_op.operator, centered_known)
                 + self.means_[holes]

@@ -15,6 +15,13 @@ Two granularities are provided:
 - **row outliers** (:func:`detect_row_outliers`) -- rows far from the
   RR-hyperplane as a whole (residual of the rank-``k`` reconstruction),
   which is how Jordan and Rodman pop out of Fig. 11.
+
+Hiding one cell of an ``M``-wide row leaves the over-specified CASE 2
+solve (Fig. 3, Eq. 8), a least-squares fit of the ``M - 1`` known
+entries onto the rules.  The PRESS (hat-matrix) identity then gives
+every single-hole error of a row from its full-row residual, so
+:func:`leave_one_out_errors` scores all ``N x M`` hidden cells from one
+projector instead of ``M`` fill operators.
 """
 
 from __future__ import annotations
@@ -32,12 +39,21 @@ __all__ = [
     "calibrate_residuals",
     "detect_cell_outliers",
     "detect_row_outliers",
+    "hole_fill_errors",
+    "leave_one_out_errors",
     "reconstruction_residuals",
     "score_rows",
 ]
 
 #: The paper's example threshold: two standard deviations.
 DEFAULT_N_SIGMAS = 2.0
+
+#: Smallest ``1 - h_jj`` (scaled by the rules' squared condition
+#: number) the closed form is trusted with.  Closer to 1, hiding column
+#: ``j`` leaves a known block whose smallest singular value falls near
+#: the ``rcond = 1e-7`` cut of :func:`repro.linalg.svd.pseudo_inverse`,
+#: and the fill path drops a direction the closed form would keep.
+_MIN_LEVERAGE_GAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,9 +107,12 @@ def detect_cell_outliers(
     """Flag cells whose hidden-value reconstruction misses badly.
 
     For every column ``j``, every cell of that column is hidden (one at
-    a time, all rows at once via the batch path), reconstructed from
-    the rest of its row, and the per-column error distribution is used
-    to flag cells more than ``n_sigmas`` standard deviations out.
+    a time), reconstructed from the rest of its row, and the per-column
+    error distribution is used to flag cells more than ``n_sigmas``
+    standard deviations out.  The errors of all cells come from one
+    :func:`leave_one_out_errors` call; each flagged cell's ``predicted``
+    value then comes from ``model.predict_holes`` on the flagged rows
+    only, so it is the fill path's value bit for bit.
 
     Parameters
     ----------
@@ -115,22 +134,24 @@ def detect_cell_outliers(
         raise ValueError(f"matrix must be 2-d, got ndim={matrix.ndim}")
     if n_sigmas <= 0:
         raise ValueError(f"n_sigmas must be > 0, got {n_sigmas}")
-    n_rows, n_cols = matrix.shape
+    errors = leave_one_out_errors(model, matrix)
     outliers: List[CellOutlier] = []
-    for column in range(n_cols):
-        predictions = model.predict_holes(matrix, [column])[:, 0]
-        errors = matrix[:, column] - predictions
-        scale = float(errors.std())
+    for column in range(matrix.shape[1]):
+        scale = float(errors[:, column].std())
         if scale == 0.0:
             continue  # perfectly reconstructed column: nothing to flag
-        z_scores = errors / scale
-        for row in np.nonzero(np.abs(z_scores) > n_sigmas)[0]:
+        z_scores = errors[:, column] / scale
+        flagged = np.nonzero(np.abs(z_scores) > n_sigmas)[0]
+        if flagged.size == 0:
+            continue
+        predictions = model.predict_holes(matrix[flagged], [column])[:, 0]
+        for row, predicted in zip(flagged, predictions):
             outliers.append(
                 CellOutlier(
                     row=int(row),
                     column=column,
                     actual=float(matrix[row, column]),
-                    predicted=float(predictions[row]),
+                    predicted=float(predicted),
                     z_score=float(z_scores[row]),
                 )
             )
@@ -181,6 +202,72 @@ def reconstruction_residuals(model, matrix: np.ndarray) -> np.ndarray:
     """Per-row distance to the RR-hyperplane (the raw outlier scores)."""
     matrix = np.asarray(matrix, dtype=np.float64)
     return np.linalg.norm(matrix - model.reconstruct(matrix), axis=1)
+
+
+def hole_fill_errors(model, matrix: np.ndarray) -> np.ndarray:
+    """Signed single-hole errors ``x_ij - x_hat_ij``, one fill per column.
+
+    The reference definition: column ``j`` of every row is hidden and
+    re-filled by ``model.predict_holes`` (one fill operator per column).
+    Works for any estimator with ``predict_holes``;
+    :func:`leave_one_out_errors` is the fast path for Ratio Rule models.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    errors = np.empty(matrix.shape)
+    for column in range(matrix.shape[1]):
+        predicted = model.predict_holes(matrix, [column])[:, 0]
+        errors[:, column] = matrix[:, column] - predicted
+    return errors
+
+
+def leave_one_out_errors(model, matrix: np.ndarray) -> np.ndarray:
+    """Signed single-hole errors ``x_ij - x_hat_ij`` of every cell at once.
+
+    Hiding cell ``j`` and solving the over-specified system is a
+    least-squares fit that leaves out one equation, so by the PRESS
+    identity its error is ``e_j / (1 - h_jj)``, where
+    ``e = (I - P)(x - means)`` is the row's full residual,
+    ``P = V (V^T V)^-1 V^T`` projects onto the rules and ``h = diag(P)``
+    holds their leverages.  ``P`` is built once per call (``V`` need not
+    be orthonormal), so all ``N x M`` errors cost two thin products
+    instead of ``M`` fill operators.
+
+    The result equals :func:`hole_fill_errors` up to rounding.  That
+    per-column loop is used instead when the closed form does not hold:
+    for estimators without a rule matrix, when hiding one column leaves
+    ``M - 1 <= k`` equations (the exactly- and under-specified cases),
+    and when some ``1 - h_jj`` is so close to 0 that the fill path's
+    pseudo-inverse would cut a direction (a rule nearly confined to one
+    column).  Callers never need to branch.
+
+    The errors are meant for scoring and ranking; a value written back
+    into data should come from the fill path itself
+    (``fill_row`` / ``predict_holes``).
+
+    Returns
+    -------
+    numpy.ndarray
+        ``N x M`` errors, same layout as ``matrix``.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"matrix must be 2-d, got ndim={matrix.ndim}")
+    rules = getattr(model, "rules_matrix", None)
+    if rules is None or matrix.shape[1] - 1 <= rules.shape[1]:
+        return hole_fill_errors(model, matrix)
+    gram = rules.T @ rules
+    eigenvalues = np.linalg.eigvalsh(gram)
+    if eigenvalues[0] <= 0.0:
+        return hole_fill_errors(model, matrix)
+    # Rows of ``hat`` are (V^T V)^-1 V_j^T, so P = V @ hat and
+    # h_jj = V_j . hat_j; a zero rule row gives an exactly zero P column.
+    hat = np.linalg.solve(gram, rules.T).T
+    gap = 1.0 - np.einsum("jk,jk->j", rules, hat)
+    if gap.min() <= _MIN_LEVERAGE_GAP * eigenvalues[-1] / eigenvalues[0]:
+        return hole_fill_errors(model, matrix)
+    centered = matrix - model.means_
+    residuals = centered - (centered @ rules) @ hat.T
+    return residuals / gap
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,17 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.outliers import ResidualCalibration, reconstruction_residuals
+from repro.core.model import RatioRuleModel
+from repro.core.outliers import (
+    ResidualCalibration,
+    hole_fill_errors,
+    leave_one_out_errors,
+    reconstruction_residuals,
+)
 from repro.io.schema import TableSchema
 from repro.obs.metrics import PipelineMetrics, Stopwatch, WatchMetrics
 from repro.obs.tracing import span
@@ -55,6 +61,10 @@ from repro.watch.quarantine import RowQuarantine
 from repro.watch.status import WatchStatus
 
 __all__ = ["WatchDaemon"]
+
+#: Relative gap under which two single-hole error magnitudes count as a
+#: tie; far above the closed form's ~1e-13 disagreement with the loop.
+_TIE_RTOL = 1e-9
 
 
 class WatchDaemon:
@@ -206,21 +216,39 @@ class WatchDaemon:
         self.metrics.last_residual = float(residuals[-1])
         self.metrics.last_z_score = float(z_scores[-1])
 
+        decisions = [self.policy.route_z(float(z)) for z in z_scores]
+        flagged = [i for i, d in enumerate(decisions) if d.action != "pass"]
+        cell_errors: Dict[int, np.ndarray] = {}
+        column_names: List[str] = []
+        if flagged:
+            # One closed-form call ranks the cells of every flagged row:
+            # it picks the cell a clean repairs, and names the worst
+            # cell in the row-cleaned / row-quarantined events.
+            with span("watch.worst_cells", rows=len(flagged)), Stopwatch() as rank:
+                flagged_errors = leave_one_out_errors(model, batch[flagged])
+                cell_errors = dict(zip(flagged, flagged_errors))
+            self.metrics.clean_seconds += rank.seconds
+            assert model.schema_ is not None  # the registry holds fitted models
+            column_names = model.schema_.names
         admitted: List[np.ndarray] = []
         clean_residuals: List[float] = []
-        n_flagged = 0
         n_passed = 0
-        for index in range(batch.shape[0]):
-            decision = self.policy.route_z(float(z_scores[index]))
+        for index, decision in enumerate(decisions):
             if decision.action == "pass":
                 admitted.append(batch[index])
                 clean_residuals.append(float(residuals[index]))
                 n_passed += 1
                 continue
-            n_flagged += 1
+            errors = cell_errors[index]
+            worst = self._worst_column(model, batch[index], errors)
+            worst_cell = {
+                "worst_column": worst,
+                "worst_column_name": column_names[worst],
+                "worst_error": float(errors[worst]),
+            }
             if decision.action == "clean":
                 with span("watch.clean"), Stopwatch() as clean_watch:
-                    repaired = self._clean_row(model, batch[index])
+                    repaired = self._fill_cell(model, batch[index], worst)
                 self.metrics.clean_seconds += clean_watch.seconds
                 self.metrics.rows_cleaned += 1
                 admitted.append(repaired)
@@ -232,6 +260,7 @@ class WatchDaemon:
                             "residual": float(residuals[index]),
                             "reason": decision.reason,
                             "model_version": published.version,
+                            **worst_cell,
                         },
                         clock=self._clock,
                     )
@@ -256,6 +285,7 @@ class WatchDaemon:
                         "residual": float(residuals[index]),
                         "reason": decision.reason,
                         "model_version": published.version,
+                        **worst_cell,
                     },
                     clock=self._clock,
                 )
@@ -267,6 +297,7 @@ class WatchDaemon:
             self.calibration.observe(np.asarray(clean_residuals))
         self._sync_calibration_gauges()
         self._sync_quarantine_gauges()
+        n_flagged = len(flagged)
         if self.policy.is_burst(n_flagged, batch.shape[0]):
             self.metrics.n_bursts += 1
             self.notifier.publish(
@@ -286,25 +317,39 @@ class WatchDaemon:
             return None
         return np.vstack(admitted)
 
-    def _clean_row(self, model: object, row: np.ndarray) -> np.ndarray:
+    def _clean_row(self, model: RatioRuleModel, row: np.ndarray) -> np.ndarray:
         """Repair a mildly anomalous row via the canonical fill path.
 
         The cell whose hide-and-reconstruct error is largest (the
         paper's Sec. 4.4 cell criterion, applied to one row) is blanked
         and re-filled with the model's fill operator.
         """
-        matrix = row.reshape(1, -1)
-        errors = np.empty(matrix.shape[1])
-        for column in range(matrix.shape[1]):
-            predicted = model.predict_holes(matrix, [column])[0, 0]  # type: ignore[attr-defined]
-            errors[column] = abs(matrix[0, column] - predicted)
-        worst = int(np.argmax(errors))
+        errors = leave_one_out_errors(model, row.reshape(1, -1))[0]
+        return self._fill_cell(model, row, self._worst_column(model, row, errors))
+
+    @staticmethod
+    def _worst_column(
+        model: RatioRuleModel, row: np.ndarray, errors: np.ndarray
+    ) -> int:
+        """The column with the largest single-hole error ``|errors|``.
+
+        ``errors`` is the row's :func:`leave_one_out_errors` output.  It
+        matches the per-column fill loop to rounding, so when the top
+        two magnitudes are within that rounding of each other the loop
+        decides, and an exact tie picks the first column as it does.
+        """
+        magnitudes = np.abs(errors)
+        top_two = np.sort(magnitudes)[-2:]
+        if top_two[-1] - top_two[0] <= _TIE_RTOL * top_two[-1]:
+            magnitudes = np.abs(hole_fill_errors(model, row.reshape(1, -1))[0])
+        return int(np.argmax(magnitudes))
+
+    @staticmethod
+    def _fill_cell(model: RatioRuleModel, row: np.ndarray, column: int) -> np.ndarray:
+        """``row`` with cell ``column`` blanked and re-filled by the model."""
         holed = row.astype(np.float64).copy()
-        holed[worst] = np.nan
-        return np.asarray(
-            model.fill_row(holed),  # type: ignore[attr-defined]
-            dtype=np.float64,
-        )
+        holed[column] = np.nan
+        return np.asarray(model.fill_row(holed), dtype=np.float64)
 
     def _sync_calibration_gauges(self) -> None:
         self.metrics.calibration_rows = self.calibration.n_observed

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Union
+from typing import Any, Callable, Dict, Iterator, List, Union
 
 import numpy as np
 
@@ -45,11 +45,16 @@ class RowQuarantine:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._clock = clock
-        self._seq = sum(1 for _ in self._iter_lines()) if self.path.exists() else 0
+        self._seq = sum(1 for _ in self._iter_lines())
 
-    def _iter_lines(self) -> List[str]:
+    def _iter_lines(self) -> Iterator[str]:
+        """Non-blank lines, read one at a time (a torn last line included)."""
+        if not self.path.exists():
+            return
         with open(self.path, "r", encoding="utf-8") as handle:
-            return [line for line in handle if line.strip()]
+            for line in handle:
+                if line.strip():
+                    yield line
 
     @property
     def n_quarantined(self) -> int:
@@ -90,8 +95,6 @@ class RowQuarantine:
 
     def read_all(self) -> List[Dict[str, Any]]:
         """Every quarantined record, in append order."""
-        if not self.path.exists():
-            return []
         return [json.loads(line) for line in self._iter_lines()]
 
     @staticmethod

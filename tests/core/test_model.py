@@ -154,6 +154,21 @@ class TestEstimation:
             filled = correlated_model.fill_row(row)
             np.testing.assert_allclose(batch[i], filled[holes], atol=1e-9)
 
+    @pytest.mark.parametrize("holes", [[0], [2], [1, 4]])
+    def test_predict_holes_equals_fill_row_bit_for_bit(
+        self, correlated_model, correlated_matrix, holes
+    ):
+        """A row predicted inside a batch, or alone, gets fill_row's bits."""
+        test = correlated_matrix[:40]
+        batch = correlated_model.predict_holes(test, holes)
+        for i in range(test.shape[0]):
+            row = test[i].copy()
+            row[holes] = np.nan
+            filled = correlated_model.fill_row(row)[holes]
+            assert batch[i].tobytes() == filled.tobytes()
+            alone = correlated_model.predict_holes(test[i : i + 1], holes)[0]
+            assert alone.tobytes() == filled.tobytes()
+
     def test_predict_holes_column_order_respected(
         self, correlated_model, correlated_matrix
     ):

@@ -302,6 +302,79 @@ class TestRouting:
         assert growth[0].payload["rows"] == 5
 
 
+def _loop_worst_cell(model, row):
+    """The worst cell as the per-column fill loop ranks it."""
+    from repro.core.outliers import hole_fill_errors
+
+    errors = hole_fill_errors(model, np.asarray(row, dtype=float).reshape(1, -1))[0]
+    worst = int(np.argmax(np.abs(errors)))
+    return worst, float(errors[worst])
+
+
+class TestWorstCell:
+    """Flagged rows name their worst cell; a clean repairs that cell."""
+
+    @pytest.mark.parametrize(
+        "policy, kind",
+        [
+            (RoutingPolicy(clean_sigmas=4.0, quarantine_sigmas=1e18), "row-cleaned"),
+            (RoutingPolicy(clean_sigmas=8.0, quarantine_sigmas=8.0), "row-quarantined"),
+        ],
+    )
+    def test_event_names_the_worst_cell(self, tmp_path, seeded_parts, policy, kind):
+        seen = []
+        source = QueueSource(3)
+        feed_and_close(source, np.array([OUTLIER_ROW, [1.0, 900.0, 2.0]]))
+        daemon = make_daemon(
+            source,
+            tmp_path,
+            parts=seeded_parts,
+            sinks=[CallableSink(seen.append)],
+            policy=policy,
+        )
+        daemon.run()
+        events = events_of_kind(seen, kind)
+        assert len(events) == 2
+        for event, row in zip(events, [OUTLIER_ROW, [1.0, 900.0, 2.0]]):
+            column, error = _loop_worst_cell(seeded_parts.model, row)
+            assert event.payload["worst_column"] == column
+            assert event.payload["worst_column_name"] == COLUMNS[column]
+            assert event.payload["worst_error"] == pytest.approx(error, rel=1e-10)
+        # The signed error: the second row's milk is far above its fill.
+        assert events[1].payload["worst_column_name"] == "milk"
+        assert events[1].payload["worst_error"] > 0.0
+
+    def test_cleaned_row_is_the_loop_picked_fill(self, tmp_path, seeded_parts):
+        model = seeded_parts.model
+        rows = np.array([OUTLIER_ROW, [1.0, 900.0, 2.0], [40.0, 2.0, 1.0]])
+        daemon = make_daemon(
+            QueueSource(3),
+            tmp_path,
+            parts=seeded_parts,
+            policy=RoutingPolicy(clean_sigmas=4.0, quarantine_sigmas=1e18),
+        )
+        admitted = daemon._tap(rows)
+        assert daemon.metrics.rows_cleaned == 3
+        for row, got in zip(rows, admitted):
+            holed = row.copy()
+            holed[_loop_worst_cell(model, row)[0]] = np.nan
+            assert got.tobytes() == model.fill_row(holed).tobytes()
+
+    def test_near_tie_is_decided_by_the_loop(self, seeded_parts):
+        model = seeded_parts.model
+        row = np.array(OUTLIER_ROW)
+        column, _error = _loop_worst_cell(model, row)
+        # Closed-form errors that tie on some other column: the loop's
+        # ranking must win, as if the kernel were never consulted.
+        tied = np.zeros(3)
+        others = [c for c in range(3) if c != column]
+        tied[others] = [7.0, -7.0]
+        assert WatchDaemon._worst_column(model, row, tied) == column
+        untied = tied.copy()
+        untied[others[1]] = -7.1
+        assert WatchDaemon._worst_column(model, row, untied) == others[1]
+
+
 class TestCalibration:
     def test_recalibrates_on_model_refresh(self, tmp_path, seeded_parts):
         source = QueueSource(3)

@@ -84,6 +84,38 @@ class TestAppend:
         assert quarantine.total_bytes == 0
 
 
+class TestDamagedFile:
+    """Reads stream the file line by line and keep the counting rules:
+    blank lines are skipped and a torn last line still counts."""
+
+    @staticmethod
+    def _records(n):
+        return [
+            json.dumps({"seq": i, "values_hex": [float(i).hex()]}, sort_keys=True)
+            for i in range(n)
+        ]
+
+    def test_blank_lines_and_unterminated_last_record(self, tmp_path):
+        lines = self._records(3)
+        # A blank line, a whitespace-only line, and a last record whose
+        # newline never made it to disk.
+        text = f"{lines[0]}\n\n{lines[1]}\n   \n{lines[2]}"
+        (tmp_path / "q.jsonl").write_text(text)
+        quarantine = _quarantine(tmp_path)
+        assert quarantine.n_quarantined == 3
+        assert quarantine.read_all() == [json.loads(line) for line in lines]
+        assert [r["seq"] for r in quarantine.read_all()] == [0, 1, 2]
+
+    def test_torn_last_record_counts_but_does_not_parse(self, tmp_path):
+        lines = self._records(2)
+        torn = lines[1][: len(lines[1]) // 2]
+        (tmp_path / "q.jsonl").write_text(f"{lines[0]}\n\n{torn}")
+        quarantine = _quarantine(tmp_path)
+        assert quarantine.n_quarantined == 2
+        with pytest.raises(json.JSONDecodeError):
+            quarantine.read_all()
+
+
 class TestBitExactness:
     @given(
         st.lists(
