@@ -115,6 +115,77 @@ def _add_store_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_ingest_arguments(sub: argparse.ArgumentParser) -> None:
+    """Attach the flags 'pipeline' and 'watch run' share: how the CSV is
+    tailed and batched, how refits solve, and when the run stops."""
+    sub.add_argument(
+        "--follow",
+        action="store_true",
+        help="keep polling for appended rows after end-of-file "
+        "(Ctrl-C to stop; default: stop at end-of-file)",
+    )
+    sub.add_argument(
+        "--poll-interval",
+        type=float,
+        default=0.2,
+        metavar="SECONDS",
+        help="sleep between empty polls in --follow mode",
+    )
+    sub.add_argument(
+        "--batch-rows",
+        type=int,
+        default=1024,
+        metavar="N",
+        help="rows polled per step",
+    )
+    sub.add_argument(
+        "--block-rows",
+        type=int,
+        default=4096,
+        metavar="N",
+        help="accumulator fold granularity (match the offline fit's "
+        "block size for bit-identical refits)",
+    )
+    sub.add_argument(
+        "--cutoff",
+        default=None,
+        help="rules to keep (same forms as 'fit --cutoff')",
+    )
+    sub.add_argument(
+        "--backend",
+        default="numpy",
+        choices=BACKENDS,
+        help="eigensolver backend for refits",
+    )
+    sub.add_argument(
+        "--on-bad-row",
+        default="raise",
+        choices=["raise", "skip"],
+        help="what to do with a corrupt CSV row: abort the run with "
+        "file/byte context (raise, default) or drop it and count it "
+        "in the metrics (skip)",
+    )
+    sub.add_argument(
+        "--min-rows",
+        type=int,
+        default=256,
+        metavar="N",
+        help="rows since last refresh required before the next one",
+    )
+    sub.add_argument(
+        "--max-batches",
+        type=int,
+        default=None,
+        metavar="N",
+        help="stop after N polls (bounded runs)",
+    )
+    sub.add_argument(
+        "--stats",
+        action="store_true",
+        help="print the run's telemetry on exit",
+    )
+
+
 def _open_store(args: argparse.Namespace):
     """Build the ``ModelStore`` requested by ``--store``/``--tenant``.
 
@@ -431,70 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="continuously ingest a CSV and refresh the model on drift",
     )
     pipeline.add_argument("data", help="CSV file to ingest (may keep growing)")
-    pipeline.add_argument(
-        "--follow",
-        action="store_true",
-        help="keep polling for appended rows after "
-        "end-of-file (Ctrl-C to stop; default: stop "
-        "at end-of-file)",
-    )
-    pipeline.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="sleep between empty polls in --follow mode",
-    )
-    pipeline.add_argument(
-        "--batch-rows",
-        type=int,
-        default=1024,
-        metavar="N",
-        help="rows ingested per pipeline step",
-    )
-    pipeline.add_argument(
-        "--block-rows",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="accumulator fold granularity (match the "
-        "offline fit's block size for bit-identical "
-        "refits)",
-    )
+    _add_ingest_arguments(pipeline)
     pipeline.add_argument(
         "--decay",
         type=float,
         default=1.0,
         help="per-row forgetting factor in (0,1]; 1.0 "
         "remembers the whole stream (default)",
-    )
-    pipeline.add_argument(
-        "--cutoff",
-        default=None,
-        help="rules to keep (same forms as 'fit --cutoff')",
-    )
-    pipeline.add_argument(
-        "--backend",
-        default="numpy",
-        choices=BACKENDS,
-        help="eigensolver backend for refits",
-    )
-    pipeline.add_argument(
-        "--on-bad-row",
-        default="raise",
-        choices=["raise", "skip"],
-        help="what to do with a corrupt CSV row: abort "
-        "the pipeline with file/byte context (raise, "
-        "default) or drop it and count it in the "
-        "metrics (skip)",
-    )
-    pipeline.add_argument(
-        "--min-rows",
-        type=int,
-        default=256,
-        metavar="N",
-        help="rows since last refresh required before "
-        "the next one",
     )
     pipeline.add_argument(
         "--min-interval",
@@ -532,22 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="holdout reservoir capacity for the GE signal",
     )
     pipeline.add_argument(
-        "--max-batches",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N polls (bounded runs)",
-    )
-    pipeline.add_argument(
         "--save",
         metavar="MODEL.npz",
         default=None,
         help="save the final published model",
-    )
-    pipeline.add_argument(
-        "--stats",
-        action="store_true",
-        help="print ingestion/drift/refresh telemetry",
     )
     _add_store_arguments(pipeline)
     _add_obs_arguments(pipeline)
@@ -622,70 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="rows observed before scoring starts",
     )
-    watch_run.add_argument(
-        "--follow",
-        action="store_true",
-        help="keep polling for appended rows after end-of-file "
-        "(Ctrl-C to stop; default: stop at end-of-file)",
-    )
-    watch_run.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="sleep between empty polls in --follow mode",
-    )
-    watch_run.add_argument(
-        "--batch-rows",
-        type=int,
-        default=1024,
-        metavar="N",
-        help="rows scored per daemon step",
-    )
-    watch_run.add_argument(
-        "--block-rows",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="accumulator fold granularity (match the offline fit's "
-        "block size for bit-identical refits)",
-    )
-    watch_run.add_argument(
-        "--cutoff",
-        default=None,
-        help="rules to keep (same forms as 'fit --cutoff')",
-    )
-    watch_run.add_argument(
-        "--backend",
-        default="numpy",
-        choices=BACKENDS,
-        help="eigensolver backend for refits",
-    )
-    watch_run.add_argument(
-        "--on-bad-row",
-        default="raise",
-        choices=["raise", "skip"],
-        help="what to do with a corrupt CSV row (see 'pipeline')",
-    )
-    watch_run.add_argument(
-        "--min-rows",
-        type=int,
-        default=256,
-        metavar="N",
-        help="rows since last refresh required before the next one",
-    )
-    watch_run.add_argument(
-        "--max-batches",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N polls (bounded runs)",
-    )
-    watch_run.add_argument(
-        "--stats",
-        action="store_true",
-        help="print watch/pipeline telemetry on exit",
-    )
+    _add_ingest_arguments(watch_run)
     _add_store_arguments(watch_run)
     _add_obs_arguments(watch_run)
     watch_status = watch_sub.add_parser(

@@ -54,7 +54,7 @@ class ReservoirSample:
         self.capacity = int(capacity)
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-        self._rows: list = []
+        self._sample = np.empty((0, 0), dtype=np.float64)
         self._n_seen = 0
 
     @property
@@ -63,36 +63,50 @@ class ReservoirSample:
         return self._n_seen
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._sample.shape[0]
 
     @property
     def occupancy(self) -> float:
         """Fill fraction in [0, 1]."""
-        return len(self._rows) / self.capacity
+        return len(self) / self.capacity
 
     def extend(self, rows: np.ndarray) -> None:
-        """Offer a block of rows to the sample."""
+        """Offer a block of rows to the sample.
+
+        The same rows, row count and RNG state as offering the rows one
+        at a time: the head of the block tops the sample up, and each
+        later row ``n`` draws its slot from ``[0, n)`` -- one
+        ``integers`` call over the array of bounds makes the same draws
+        as one call per row.  Replacements apply in row order, so when
+        two rows draw the same slot the later one wins.
+        """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
-        for row in rows:
-            self._n_seen += 1
-            if len(self._rows) < self.capacity:
-                self._rows.append(row.copy())
-            else:
-                slot = int(self._rng.integers(0, self._n_seen))
-                if slot < self.capacity:
-                    self._rows[slot] = row.copy()
+        fill = min(self.capacity - len(self), rows.shape[0])
+        if fill > 0:
+            head = rows[:fill]
+            self._sample = (
+                np.concatenate([self._sample, head]) if len(self) else head.copy()
+            )
+        rest = rows.shape[0] - fill
+        first = self._n_seen + fill + 1
+        self._n_seen += rows.shape[0]
+        if rest == 0:
+            return
+        slots = self._rng.integers(0, np.arange(first, first + rest))
+        hit = np.flatnonzero(slots < self.capacity)
+        # The last row to draw each slot: first occurrence, reversed.
+        kept, at = np.unique(slots[hit][::-1], return_index=True)
+        self._sample[kept] = rows[fill + hit[::-1][at]]
 
     def rows(self) -> np.ndarray:
         """The current sample as a matrix (copy; may be empty)."""
-        if not self._rows:
-            return np.empty((0, 0), dtype=np.float64)
-        return np.vstack(self._rows)
+        return self._sample.copy()
 
     def reset(self) -> None:
         """Forget the sample and the row count (used at each refresh)."""
-        self._rows.clear()
+        self._sample = np.empty((0, 0), dtype=np.float64)
         self._n_seen = 0
         self._rng = np.random.default_rng(self._seed)
 

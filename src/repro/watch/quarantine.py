@@ -8,12 +8,15 @@ pattern round-trips exactly even through JSON, and an operator (or a
 later re-ingest job) can recover the row bit-for-bit.
 
 The file is opened in append mode and never truncated; re-opening an
-existing quarantine continues its sequence numbers.
+existing quarantine continues its sequence numbers.  A last line torn
+by a crash mid-append keeps its own line: the first append after
+re-opening ends it with a newline before writing its record.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Union
@@ -46,6 +49,15 @@ class RowQuarantine:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._clock = clock
         self._seq = sum(1 for _ in self._iter_lines())
+        self._mid_line = self._ends_mid_line()
+
+    def _ends_mid_line(self) -> bool:
+        """Whether the file's last byte is not a newline (a torn append)."""
+        if not self.path.exists() or self.path.stat().st_size == 0:
+            return False
+        with open(self.path, "rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            return handle.read(1) != b"\n"
 
     def _iter_lines(self) -> Iterator[str]:
         """Non-blank lines, read one at a time (a torn last line included)."""
@@ -87,9 +99,14 @@ class RowQuarantine:
             "values": [float(v) for v in values],
             "values_hex": [float(v).hex() for v in values],
         }
+        line = json.dumps(record, sort_keys=True) + "\n"
+        if self._mid_line:
+            # End the torn line first, or this record would be glued to it.
+            line = "\n" + line
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(line)
             handle.flush()
+        self._mid_line = False
         self._seq += 1
         return record
 

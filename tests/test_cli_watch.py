@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
@@ -49,6 +50,31 @@ def stream_csv(tmp_path):
     return path
 
 
+#: The flags 'pipeline' and 'watch run' share.
+INGEST_FLAGS = (
+    "--follow",
+    "--poll-interval",
+    "--batch-rows",
+    "--block-rows",
+    "--cutoff",
+    "--backend",
+    "--on-bad-row",
+    "--min-rows",
+    "--max-batches",
+    "--stats",
+)
+
+
+def _subparser(parser, *names):
+    """The parser of the subcommand path ``names`` under ``parser``."""
+    for name in names:
+        (action,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        parser = action.choices[name]
+    return parser
+
+
 class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(["watch", "run", "data.csv"])
@@ -71,6 +97,22 @@ class TestParser:
             build_parser().parse_args(
                 ["watch", "status", "s.json", "--format", "yaml"]
             )
+
+    @pytest.mark.parametrize("flag", INGEST_FLAGS)
+    def test_ingest_flags_match_pipeline(self, flag):
+        parser = build_parser()
+        pipeline = _subparser(parser, "pipeline")
+        watch_run = _subparser(parser, "watch", "run")
+
+        def declared(sub):
+            action = sub._option_string_actions[flag]
+            return (action.dest, action.default, action.choices, action.type)
+
+        assert declared(pipeline) == declared(watch_run)
+        dest = pipeline._option_string_actions[flag].dest
+        assert getattr(parser.parse_args(["pipeline", "d.csv"]), dest) == getattr(
+            parser.parse_args(["watch", "run", "d.csv"]), dest
+        )
 
 
 class TestWatchRun:

@@ -115,6 +115,31 @@ class TestDamagedFile:
         with pytest.raises(json.JSONDecodeError):
             quarantine.read_all()
 
+    def test_append_after_a_torn_line_lands_on_its_own_line(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        _quarantine(tmp_path).append(
+            np.array([1.0]), residual=0.0, z_score=0.0, reason="r",
+            model_version=1,
+        )
+        # A crash mid-append: half a record and no newline.
+        torn = self._records(2)[1]
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(torn[: len(torn) // 2])
+        reopened = _quarantine(tmp_path)
+        assert reopened.n_quarantined == 2
+        values = np.array([0.1, -0.0, 5e-324, -1.7976931348623157e308])
+        record = reopened.append(
+            values, residual=1.0, z_score=9.0, reason="r", model_version=1
+        )
+        assert record["seq"] == 2
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # The torn fragment keeps its own line; the new record is whole.
+        assert len(lines) == 3
+        assert lines[1] == torn[: len(torn) // 2]
+        last = json.loads(lines[2])
+        assert last == record
+        assert RowQuarantine.decode_values(last).tobytes() == values.tobytes()
+
 
 class TestBitExactness:
     @given(
