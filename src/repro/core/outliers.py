@@ -287,7 +287,7 @@ class RowScore:
 
 
 class ResidualCalibration:
-    """Streaming estimate of the residual distribution (Welford).
+    """Streaming estimate of the residual distribution (batch merges).
 
     :func:`detect_row_outliers` normalizes residuals *within* the
     scored batch, which collapses for the streaming case: a batch of
@@ -332,15 +332,34 @@ class ResidualCalibration:
         return self._count >= self.min_rows and self.std > 0.0
 
     def observe(self, residuals: np.ndarray) -> None:
-        """Fold a batch of residuals into the running distribution."""
+        """Fold a batch of residuals into the running distribution.
+
+        The batch's own count, mean and sum of squared deviations are
+        merged into the running ones in one step (Chan, Golub and
+        LeVeque's pairwise update, as
+        :class:`~repro.core.covariance.StreamingCovariance` merges
+        co-moments).  This agrees with folding the values one at
+        a time up to rounding, not bit for bit.  An empty batch is a
+        no-op; a non-finite residual raises, since one NaN would turn
+        the mean and spread into NaN and stop every later row from
+        scoring.
+        """
         values = np.atleast_1d(np.asarray(residuals, dtype=np.float64))
         if values.ndim != 1:
             raise ValueError(f"residuals must be 1-d, got ndim={values.ndim}")
-        for value in values:
-            self._count += 1
-            delta = float(value) - self._mean
-            self._mean += delta / self._count
-            self._m2 += delta * (float(value) - self._mean)
+        if not values.size:
+            return
+        if not np.isfinite(values).all():
+            raise ValueError("residuals must be finite")
+        count = values.size
+        mean = float(values.mean())
+        deviations = values - mean
+        m2 = float(deviations @ deviations)
+        total = self._count + count
+        delta = mean - self._mean
+        self._m2 += m2 + delta * delta * (self._count * count / total)
+        self._mean += delta * (count / total)
+        self._count = total
 
     def z_scores(self, residuals: np.ndarray) -> np.ndarray:
         """Residuals in units of the calibrated distribution's stddev."""

@@ -304,7 +304,9 @@ class CSVTailSource(BatchSource):
         per-line parser splits lines at ``\\n`` only, while a tokenizer
         with universal newlines may end a row at a lone ``\\r``.
         """
-        lone_cr = complete.count(b"\r") != complete.count(b"\r\n")
+        lone_cr = b"\r" in complete and (
+            complete.count(b"\r") != complete.count(b"\r\n")
+        )
         if lone_cr or complete.translate(None, _FAST_PARSE_BYTES):
             return self._parse_complete(complete)
         return _parse_numeric_csv(complete, self.n_cols, self._parse_complete)

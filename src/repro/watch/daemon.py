@@ -14,13 +14,15 @@ For each polled batch the daemon:
 2. computes each row's reconstruction residual and z-scores it
    against the streaming :class:`~repro.core.outliers.ResidualCalibration`
    (rows arriving before a model is published, or before the
-   calibration warms up, pass through unscored);
+   calibration warms up, pass through unscored; once a model is
+   published, a row whose residual is not finite is quarantined);
 3. routes each row by :class:`~repro.watch.policy.RoutingPolicy` --
    ``pass`` (admit), ``clean`` (repair the worst cell via the
    canonical fill operator, then admit), or ``quarantine`` (preserve
    the original bytes in the append-only
    :class:`~repro.watch.quarantine.RowQuarantine`; the accumulator
-   never sees the row);
+   never sees the row).  A batch's repairs use one fill operator per
+   column and its quarantine records land in one write;
 4. publishes structured :class:`~repro.watch.events.WatchEvent`
    notifications (one per quarantined row, plus burst / drift /
    refresh / rotation / growth events) through the
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from repro.core.outliers import (
     leave_one_out_errors,
     reconstruction_residuals,
 )
+from repro.core.reconstruction import FillOperator
 from repro.io.schema import TableSchema
 from repro.obs.metrics import PipelineMetrics, Stopwatch, WatchMetrics
 from repro.obs.tracing import span
@@ -53,7 +56,11 @@ from repro.pipeline.drift import DriftDetector, DriftReport
 from repro.pipeline.pipeline import IngestionPipeline
 from repro.pipeline.policy import RefreshPolicy
 from repro.pipeline.sources import BatchSource
-from repro.serve.registry import ModelRegistry, NoModelPublishedError
+from repro.serve.registry import (
+    ModelRegistry,
+    NoModelPublishedError,
+    PublishedModel,
+)
 from repro.watch.events import WatchEvent
 from repro.watch.notify import NotificationManager
 from repro.watch.policy import RoutingPolicy
@@ -150,6 +157,8 @@ class WatchDaemon:
             tap=self._tap,
         )
         self._scored_version = 0
+        # Single-hole fill operators of the scored version, by column.
+        self._fill_operators: Dict[int, FillOperator] = {}
         self._seen_version = self._registry.latest_version
         self._seen_rotations = 0
         self._seen_truncations = 0
@@ -180,7 +189,8 @@ class WatchDaemon:
 
     def _tap(self, batch: np.ndarray) -> Optional[np.ndarray]:
         """Route one polled batch; returns the rows to admit."""
-        self.metrics.rows_seen += batch.shape[0]
+        n_rows = batch.shape[0]
+        self.metrics.rows_seen += n_rows
         self.metrics.n_batches_tapped += 1
         try:
             published = self._registry.current()
@@ -189,120 +199,70 @@ class WatchDaemon:
         if published is None:
             # Nothing to score against yet: let rows through so the
             # pipeline can bootstrap an initial model.
-            self.metrics.rows_unscored += batch.shape[0]
+            self.metrics.rows_unscored += n_rows
             return batch
-        if (
-            published.version != self._scored_version
-            and self.policy.recalibrate_on_refresh
-            and self._scored_version != 0
-        ):
-            self.calibration = ResidualCalibration(
-                min_rows=self.policy.min_calibration_rows
-            )
-            self.metrics.n_calibration_resets += 1
+        if published.version != self._scored_version:
+            if self.policy.recalibrate_on_refresh and self._scored_version != 0:
+                self.calibration = ResidualCalibration(
+                    min_rows=self.policy.min_calibration_rows
+                )
+                self.metrics.n_calibration_resets += 1
+            # Fill operators belong to one model, like the residuals.
+            self._fill_operators = {}
         self._scored_version = published.version
         self.metrics.model_version = published.version
         model = published.model
-        with span("watch.score", rows=batch.shape[0]), Stopwatch() as watch:
+        with span("watch.score", rows=n_rows), Stopwatch() as watch:
             residuals = reconstruction_residuals(model, batch)
-            if not self.calibration.ready:
-                self.calibration.observe(residuals)
-                self._sync_calibration_gauges()
-                self.metrics.rows_unscored += batch.shape[0]
+            scoring = self.calibration.ready
+            if scoring:
+                z_scores = self.calibration.z_scores(residuals)
+        if scoring:
+            self.metrics.score_seconds += watch.seconds
+            self.metrics.rows_scored += n_rows
+            self.metrics.last_residual = float(residuals[-1])
+            self.metrics.last_z_score = float(z_scores[-1])
+            with span("watch.route", rows=n_rows):
+                flagged_mask, quarantine_mask = self.policy.route_masks(z_scores)
+        else:
+            # Warm-up: finite rows pass unscored and feed the calibration.
+            # A non-finite residual would poison it, so its row
+            # quarantines with a NaN z-score.
+            finite = np.isfinite(residuals)
+            n_finite = int(np.count_nonzero(finite))
+            with span("watch.calibrate", rows=n_finite):
+                self.calibration.observe(residuals[finite])
+            self._sync_calibration_gauges()
+            self.metrics.rows_unscored += n_finite
+            if n_finite == n_rows:
                 return batch
-            z_scores = self.calibration.z_scores(residuals)
-        self.metrics.score_seconds += watch.seconds
-        self.metrics.rows_scored += batch.shape[0]
-        self.metrics.last_residual = float(residuals[-1])
-        self.metrics.last_z_score = float(z_scores[-1])
-
-        flagged_mask, quarantine_mask = self.policy.route_masks(z_scores)
-        flagged = np.flatnonzero(flagged_mask).tolist()
-        n_passed = batch.shape[0] - len(flagged)
+            z_scores = np.full(n_rows, np.nan)
+            flagged_mask = quarantine_mask = ~finite
+        n_flagged = int(np.count_nonzero(flagged_mask))
         admitted = batch
-        flagged_errors = np.empty((0, batch.shape[1]))
-        column_names: List[str] = []
-        if flagged:
-            # One closed-form call ranks the cells of every flagged row:
-            # it picks the cell a clean repairs, and names the worst
-            # cell in the row-cleaned / row-quarantined events.
-            with span("watch.worst_cells", rows=len(flagged)), Stopwatch() as rank:
-                flagged_errors = leave_one_out_errors(model, batch[flagged])
-            self.metrics.clean_seconds += rank.seconds
-            assert model.schema_ is not None  # the registry holds fitted models
-            column_names = model.schema_.names
-            # Cleaned rows are repaired in place in a copy of the batch;
-            # quarantined rows are dropped from it at the end.
-            admitted = batch.copy()
-        for index, errors in zip(flagged, flagged_errors):
-            # The masks decide the action; route_z only words the reason.
-            reason = self.policy.route_z(float(z_scores[index])).reason
-            worst = self._worst_column(model, batch[index], errors)
-            worst_cell = {
-                "worst_column": worst,
-                "worst_column_name": column_names[worst],
-                "worst_error": float(errors[worst]),
-            }
-            if not quarantine_mask[index]:
-                with span("watch.clean"), Stopwatch() as clean_watch:
-                    admitted[index] = self._fill_cell(model, batch[index], worst)
-                self.metrics.clean_seconds += clean_watch.seconds
-                self.metrics.rows_cleaned += 1
-                self.notifier.publish(
-                    WatchEvent.now(
-                        "row-cleaned",
-                        {
-                            "z_score": float(z_scores[index]),
-                            "residual": float(residuals[index]),
-                            "reason": reason,
-                            "model_version": published.version,
-                            **worst_cell,
-                        },
-                        clock=self._clock,
-                    )
-                )
-                continue
-            with span("watch.quarantine"), Stopwatch() as q_watch:
-                record = self.quarantine.append(
-                    batch[index],
-                    residual=float(residuals[index]),
-                    z_score=float(z_scores[index]),
-                    reason=reason,
-                    model_version=published.version,
-                )
-            self.metrics.quarantine_seconds += q_watch.seconds
-            self.metrics.rows_quarantined += 1
-            self.notifier.publish(
-                WatchEvent.now(
-                    "row-quarantined",
-                    {
-                        "seq": record["seq"],
-                        "z_score": float(z_scores[index]),
-                        "residual": float(residuals[index]),
-                        "reason": reason,
-                        "model_version": published.version,
-                        **worst_cell,
-                    },
-                    clock=self._clock,
-                )
+        if n_flagged:
+            admitted = self._divert(
+                published, batch, residuals, z_scores, flagged_mask, quarantine_mask
             )
-        self.metrics.rows_passed += n_passed
-        # Passed rows (not cleaned ones) refine the calibration: they
-        # looked like the population, so they sharpen its estimate.
-        if n_passed:
-            self.calibration.observe(residuals[~flagged_mask])
-        self._sync_calibration_gauges()
+        if scoring:
+            n_passed = n_rows - n_flagged
+            self.metrics.rows_passed += n_passed
+            # Passed rows (not cleaned ones) refine the calibration: they
+            # looked like the population, so they sharpen its estimate.
+            if n_passed:
+                with span("watch.calibrate", rows=n_passed):
+                    self.calibration.observe(residuals[~flagged_mask])
+            self._sync_calibration_gauges()
         self._sync_quarantine_gauges()
-        n_flagged = len(flagged)
-        if self.policy.is_burst(n_flagged, batch.shape[0]):
+        if self.policy.is_burst(n_flagged, n_rows):
             self.metrics.n_bursts += 1
             self.notifier.publish(
                 WatchEvent.now(
                     "outlier-burst",
                     {
                         "n_flagged": n_flagged,
-                        "n_rows": int(batch.shape[0]),
-                        "fraction": n_flagged / batch.shape[0],
+                        "n_rows": n_rows,
+                        "fraction": n_flagged / n_rows,
                         "model_version": published.version,
                     },
                     clock=self._clock,
@@ -313,15 +273,107 @@ class WatchDaemon:
             admitted = admitted[~quarantine_mask]
         return admitted if admitted.shape[0] else None
 
-    def _clean_row(self, model: RatioRuleModel, row: np.ndarray) -> np.ndarray:
-        """Repair a mildly anomalous row via the canonical fill path.
+    def _divert(
+        self,
+        published: PublishedModel,
+        batch: np.ndarray,
+        residuals: np.ndarray,
+        z_scores: np.ndarray,
+        flagged_mask: np.ndarray,
+        quarantine_mask: np.ndarray,
+    ) -> np.ndarray:
+        """Clean and quarantine a batch's flagged rows.
 
-        The cell whose hide-and-reconstruct error is largest (the
-        paper's Sec. 4.4 cell criterion, applied to one row) is blanked
-        and re-filled with the model's fill operator.
+        Returns a copy of the batch with the cleaned rows repaired; the
+        quarantined rows are still in it.  The batch's quarantine
+        records are written first, with one write, and then every
+        flagged row's event is published in row order.
         """
-        errors = leave_one_out_errors(model, row.reshape(1, -1))[0]
-        return self._fill_cell(model, row, self._worst_column(model, row, errors))
+        model = published.model
+        flagged = np.flatnonzero(flagged_mask)
+        # One closed-form call ranks the cells of every flagged row: it
+        # picks the cell a clean repairs, and names the worst cell in the
+        # row-cleaned / row-quarantined events.
+        with span("watch.worst_cells", rows=flagged.size), Stopwatch() as rank:
+            errors = leave_one_out_errors(model, batch[flagged])
+        self.metrics.clean_seconds += rank.seconds
+        assert model.schema_ is not None  # the registry holds fitted models
+        names = model.schema_.names
+        worst = [
+            self._worst_column(model, batch[index], row_errors)
+            for index, row_errors in zip(flagged, errors)
+        ]
+        payloads = [
+            {
+                "z_score": float(z_scores[index]),
+                "residual": float(residuals[index]),
+                # The masks decide the action; route_z only words the reason.
+                "reason": self.policy.route_z(float(z_scores[index])).reason,
+                "model_version": published.version,
+                "worst_column": column,
+                "worst_column_name": names[column],
+                "worst_error": float(row_errors[column]),
+            }
+            for index, row_errors, column in zip(flagged.tolist(), errors, worst)
+        ]
+        moved = quarantine_mask[flagged]
+        admitted = batch.copy()
+        # Cleaned rows, grouped by the cell each one repairs.
+        groups: Dict[int, List[int]] = {}
+        for index, column, is_moved in zip(flagged.tolist(), worst, moved.tolist()):
+            if not is_moved:
+                groups.setdefault(column, []).append(index)
+        if groups:
+            n_cleaned = len(flagged) - int(np.count_nonzero(moved))
+            with span("watch.clean", rows=n_cleaned), Stopwatch() as clean_watch:
+                self._fill_cells(model, batch, admitted, groups)
+            self.metrics.clean_seconds += clean_watch.seconds
+            self.metrics.rows_cleaned += n_cleaned
+        records: List[Dict[str, Any]] = []
+        if moved.any():
+            diverted = flagged[moved]
+            with span("watch.quarantine", rows=diverted.size), Stopwatch() as q_watch:
+                records = self.quarantine.extend(
+                    batch[diverted],
+                    residuals=residuals[diverted].tolist(),
+                    z_scores=z_scores[diverted].tolist(),
+                    reasons=[p["reason"] for p, m in zip(payloads, moved) if m],
+                    model_version=published.version,
+                )
+            self.metrics.quarantine_seconds += q_watch.seconds
+            self.metrics.rows_quarantined += int(diverted.size)
+        seqs = (record["seq"] for record in records)
+        for payload, is_moved in zip(payloads, moved.tolist()):
+            kind = "row-cleaned"
+            if is_moved:
+                kind, payload = "row-quarantined", {"seq": next(seqs), **payload}
+            self.notifier.publish(WatchEvent.now(kind, payload, clock=self._clock))
+        return admitted
+
+    def _fill_cells(
+        self,
+        model: RatioRuleModel,
+        batch: np.ndarray,
+        admitted: np.ndarray,
+        groups: Dict[int, List[int]],
+    ) -> None:
+        """For each ``column: rows`` group, blank that cell of the batch
+        rows and write the model's re-fill of it into ``admitted``.
+
+        A group shares one single-hole operator from the per-version
+        table.  :meth:`FillOperator.predict` gives each row the bits it
+        has alone, so every repair equals ``model.fill_row``.
+        """
+        means = model.means_
+        for column, rows in groups.items():
+            operator = self._fill_operators.get(column)
+            if operator is None:
+                operator = self._fill_operators[column] = model.fill_operator(
+                    [column]
+                )
+            known = operator.known_indices
+            centered = np.take(batch[rows], known, axis=1) - means[known]
+            admitted[rows, column] = operator.predict(centered)[:, 0] + means[column]
 
     @staticmethod
     def _worst_column(
@@ -332,8 +384,13 @@ class WatchDaemon:
         ``errors`` is the row's :func:`leave_one_out_errors` output.  It
         matches the per-column fill loop to rounding, so when the top
         two magnitudes are within that rounding of each other the loop
-        decides, and an exact tie picks the first column as it does.
+        decides, and an exact tie picks the first column as it does.  A
+        row with a NaN or infinite cell names its first such cell.
         """
+        non_finite = ~np.isfinite(row)
+        if non_finite.any():
+            # The first non-finite cell is what the row's residual shows.
+            return int(np.argmax(non_finite))
         magnitudes = np.abs(errors)
         top_two = np.sort(magnitudes)[-2:]
         if top_two[-1] - top_two[0] <= _TIE_RTOL * top_two[-1]:

@@ -17,6 +17,7 @@ every flagged row quarantines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -102,7 +103,16 @@ class RoutingPolicy:
             )
 
     def route_z(self, z_score: float) -> RoutingDecision:
-        """Decide where a row with this residual z-score goes."""
+        """Decide where a row with this residual z-score goes.
+
+        A NaN z-score comes from a non-finite residual (a NaN or
+        infinite cell) and quarantines: it would otherwise exceed no
+        threshold and pass.
+        """
+        if math.isnan(z_score):
+            return RoutingDecision(
+                action="quarantine", reason="z=nan: non-finite residual"
+            )
         if z_score > self.quarantine_sigmas:
             return RoutingDecision(
                 action="quarantine",
@@ -125,13 +135,14 @@ class RoutingPolicy:
         """Boolean ``(flagged, quarantine)`` masks over a batch's z-scores.
 
         The array form of :meth:`route_z`: a flagged row is cleaned
-        unless it is also in ``quarantine``, and an unflagged row passes
-        (a NaN z-score passes, since it exceeds no threshold).
+        unless it is also in ``quarantine``, and an unflagged row passes.
+        A NaN z-score is in both masks, so it quarantines.
         ``quarantine`` implies ``flagged`` as ``quarantine_sigmas >=
         clean_sigmas``.
         """
         z_scores = np.asarray(z_scores, dtype=np.float64)
-        return z_scores > self.clean_sigmas, z_scores > self.quarantine_sigmas
+        flagged = ~(z_scores <= self.clean_sigmas)
+        return flagged, ~(z_scores <= self.quarantine_sigmas)
 
     def route(self, score: RowScore) -> RoutingDecision:
         """Decide where one scored row goes."""

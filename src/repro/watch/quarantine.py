@@ -9,8 +9,10 @@ later re-ingest job) can recover the row bit-for-bit.
 
 The file is opened in append mode and never truncated; re-opening an
 existing quarantine continues its sequence numbers.  A last line torn
-by a crash mid-append keeps its own line: the first append after
-re-opening ends it with a newline before writing its record.
+by a crash mid-append keeps its own line: the first write after
+re-opening ends it with a newline before writing its records.  A batch
+of rows (:meth:`RowQuarantine.extend`) lands with one write, in the
+same bytes as one append per row.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Union
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Union
 
 import numpy as np
 
@@ -88,27 +90,66 @@ class RowQuarantine:
         model_version: int,
     ) -> Dict[str, Any]:
         """Quarantine one row; returns the record that was written."""
-        values = np.asarray(row, dtype=np.float64).ravel()
-        record: Dict[str, Any] = {
-            "seq": self._seq,
-            "unix_time": float(self._clock()),
-            "reason": reason,
-            "model_version": int(model_version),
-            "residual": float(residual),
-            "z_score": float(z_score),
-            "values": [float(v) for v in values],
-            "values_hex": [float(v).hex() for v in values],
-        }
-        line = json.dumps(record, sort_keys=True) + "\n"
+        return self.extend(
+            np.asarray(row, dtype=np.float64).reshape(1, -1),
+            residuals=[residual],
+            z_scores=[z_score],
+            reasons=[reason],
+            model_version=model_version,
+        )[0]
+
+    def extend(
+        self,
+        rows: np.ndarray,
+        *,
+        residuals: Sequence[float],
+        z_scores: Sequence[float],
+        reasons: Sequence[str],
+        model_version: int,
+    ) -> List[Dict[str, Any]]:
+        """Quarantine a batch of rows with one write; returns the records.
+
+        The bytes, sequence numbers and clock readings (one per record,
+        in row order) are those of one :meth:`append` per row.  An empty
+        batch writes nothing.
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ValueError(f"rows must be 2-d, got ndim={rows.ndim}")
+        n_rows = rows.shape[0]
+        if not len(residuals) == len(z_scores) == len(reasons) == n_rows:
+            raise ValueError(
+                f"need one residual, z-score and reason per row: got "
+                f"{len(residuals)}, {len(z_scores)} and {len(reasons)} "
+                f"for {n_rows} rows"
+            )
+        records: List[Dict[str, Any]] = []
+        lines: List[str] = []
+        for offset, values in enumerate(rows.tolist()):
+            record: Dict[str, Any] = {
+                "seq": self._seq + offset,
+                "unix_time": float(self._clock()),
+                "reason": reasons[offset],
+                "model_version": int(model_version),
+                "residual": float(residuals[offset]),
+                "z_score": float(z_scores[offset]),
+                "values": values,
+                "values_hex": [value.hex() for value in values],
+            }
+            records.append(record)
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+        if not records:
+            return records
         if self._mid_line:
-            # End the torn line first, or this record would be glued to it.
-            line = "\n" + line
+            # End the torn line first, or the first record would be glued
+            # to it.
+            lines.insert(0, "\n")
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
+            handle.write("".join(lines))
             handle.flush()
         self._mid_line = False
-        self._seq += 1
-        return record
+        self._seq += n_rows
+        return records
 
     def read_all(self) -> List[Dict[str, Any]]:
         """Every quarantined record, in append order."""

@@ -225,9 +225,15 @@ class TestRouting:
     def test_repair_reduces_the_residual(self, seeded_parts, tmp_path):
         from repro.core.outliers import reconstruction_residuals
 
-        daemon = make_daemon(QueueSource(3), tmp_path, parts=seeded_parts)
+        daemon = make_daemon(
+            QueueSource(3),
+            tmp_path,
+            parts=seeded_parts,
+            policy=RoutingPolicy(clean_sigmas=4.0, quarantine_sigmas=1e18),
+        )
         broken = np.array(OUTLIER_ROW)
-        repaired = daemon._clean_row(seeded_parts.model, broken)
+        repaired = daemon._tap(broken.reshape(1, -1))[0]
+        assert daemon.metrics.rows_cleaned == 1
         before = reconstruction_residuals(
             seeded_parts.model, broken.reshape(1, -1)
         )[0]
@@ -360,6 +366,38 @@ class TestWorstCell:
             holed[_loop_worst_cell(model, row)[0]] = np.nan
             assert got.tobytes() == model.fill_row(holed).tobytes()
 
+    def test_repairs_equal_fill_row_across_a_refresh(self, tmp_path, seeded_parts):
+        """Fill operators are kept per model version: after a new model is
+        published, every repair is that model's ``fill_row``, bit for bit."""
+        rows = np.array(
+            [OUTLIER_ROW, [1.0, 900.0, 2.0], [40.0, 2.0, 1.0], [9.0, 1.0, 60.0]]
+        )
+        daemon = make_daemon(
+            QueueSource(3),
+            tmp_path,
+            parts=seeded_parts,
+            policy=RoutingPolicy(
+                clean_sigmas=4.0,
+                quarantine_sigmas=1e18,
+                recalibrate_on_refresh=False,
+            ),
+        )
+        refit = RatioRuleModel(cutoff=1).fit(
+            make_regime_matrix(9, loadings=(1.0, 3.0, 0.25)),
+            TableSchema.from_names(COLUMNS),
+        )
+        for publish in (None, refit):
+            if publish is not None:
+                daemon.registry.publish(publish)
+            model = daemon.registry.current().model
+            cleaned = daemon.metrics.rows_cleaned
+            admitted = daemon._tap(rows)
+            assert daemon.metrics.rows_cleaned == cleaned + len(rows)
+            for row, got in zip(rows, admitted):
+                holed = row.copy()
+                holed[_loop_worst_cell(model, row)[0]] = np.nan
+                assert got.tobytes() == model.fill_row(holed).tobytes()
+
     def test_near_tie_is_decided_by_the_loop(self, seeded_parts):
         model = seeded_parts.model
         row = np.array(OUTLIER_ROW)
@@ -424,6 +462,67 @@ class TestCalibration:
         daemon.run()
         assert daemon.metrics.rows_unscored == 100
         assert daemon.metrics.rows_scored == 100
+
+
+class TestNonFinite:
+    """A row whose residual is not finite quarantines, scored or not, and
+    never reaches the calibration."""
+
+    def test_nan_cell_during_warmup_leaves_scoring_working(self, tmp_path):
+        parts = make_seeded_parts()
+        seen = []
+        warm = make_regime_matrix(5, n_rows=5)
+        warm[2, 1] = np.nan
+        shifted = make_regime_matrix(6, n_rows=4)
+        shifted[:, 0] += 500.0
+        source = QueueSource(3)
+        feed_and_close(source, warm, shifted)
+        daemon = make_daemon(
+            source,
+            tmp_path,
+            registry=parts.registry,  # published model, cold calibration
+            sinks=[CallableSink(seen.append)],
+            policy=RoutingPolicy(min_calibration_rows=4),
+            batch_rows=5,
+        )
+        daemon.run()
+        assert np.isfinite([daemon.calibration.mean, daemon.calibration.std]).all()
+        assert daemon.calibration.n_observed == 4
+        assert daemon.metrics.rows_unscored == 4
+        assert daemon.metrics.rows_quarantined == 5
+        assert daemon.pipeline_metrics.n_rows_diverted == 5
+        events = events_of_kind(seen, "row-quarantined")
+        assert [e.payload["seq"] for e in events] == [0, 1, 2, 3, 4]
+        assert "non-finite residual" in events[0].payload["reason"]
+        assert events[0].payload["worst_column_name"] == "milk"
+        records = daemon.quarantine.read_all()
+        assert RowQuarantine.decode_values(records[0]).tobytes() == (
+            warm[2].tobytes()
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scored_row_with_a_non_finite_cell_quarantines(
+        self, tmp_path, seeded_parts, bad
+    ):
+        seen = []
+        rows = make_regime_matrix(8, n_rows=6)
+        rows[3, 2] = bad
+        daemon = make_daemon(
+            QueueSource(3),
+            tmp_path,
+            parts=seeded_parts,
+            sinks=[CallableSink(seen.append)],
+        )
+        admitted = daemon._tap(rows)
+        assert admitted.tobytes() == np.delete(rows, 3, axis=0).tobytes()
+        assert daemon.metrics.rows_quarantined == 1
+        assert daemon.metrics.rows_passed == 5
+        [event] = events_of_kind(seen, "row-quarantined")
+        assert event.payload["worst_column"] == 2
+        assert event.payload["worst_column_name"] == "butter"
+        [record] = daemon.quarantine.read_all()
+        assert RowQuarantine.decode_values(record).tobytes() == rows[3].tobytes()
+        assert np.isfinite([daemon.calibration.mean, daemon.calibration.std]).all()
 
 
 class TestSourceEvents:

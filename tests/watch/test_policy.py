@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.outliers import RowScore
@@ -37,6 +38,15 @@ class TestRouteZ:
         policy = RoutingPolicy()
         score = RowScore(row=0, residual=1.0, z_score=100.0, is_outlier=True)
         assert policy.route(score).action == "quarantine"
+
+    def test_nan_quarantines_and_says_why(self):
+        policy = RoutingPolicy(clean_sigmas=4.0, quarantine_sigmas=8.0)
+        decision = policy.route_z(float("nan"))
+        assert decision.action == "quarantine"
+        assert "non-finite residual" in decision.reason
+        flagged, quarantine = policy.route_masks(np.array([np.nan, 1.0]))
+        assert flagged.tolist() == [True, False]
+        assert quarantine.tolist() == [True, False]
 
     def test_every_action_is_in_route_actions(self):
         policy = RoutingPolicy(clean_sigmas=4.0, quarantine_sigmas=8.0)

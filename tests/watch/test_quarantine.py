@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.watch import RowQuarantine
@@ -185,3 +185,164 @@ class TestBitExactness:
         record = RowQuarantine(tmp_path / "q.jsonl").read_all()[0]
         decoded = RowQuarantine.decode_values(record)
         assert decoded.tobytes() == row.tobytes()
+
+
+class LoopQuarantine(RowQuarantine):
+    """The quarantine as it was: one open, write and flush per row."""
+
+    def append(self, row, *, residual, z_score, reason, model_version):
+        values = np.asarray(row, dtype=np.float64).ravel()
+        record = {
+            "seq": self._seq,
+            "unix_time": float(self._clock()),
+            "reason": reason,
+            "model_version": int(model_version),
+            "residual": float(residual),
+            "z_score": float(z_score),
+            "values": [float(v) for v in values],
+            "values_hex": [float(v).hex() for v in values],
+        }
+        line = json.dumps(record, sort_keys=True) + "\n"
+        if self._mid_line:
+            line = "\n" + line
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(line)
+            handle.flush()
+        self._mid_line = False
+        self._seq += 1
+        return record
+
+
+class Ticker:
+    """A clock that reads 0.5, 1.5, 2.5, ...: every call shows."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.calls - 0.5
+
+
+#: What a file may hold before the first batch: nothing, whole records,
+#: or whole records and a torn last line.
+PREFIXES = [
+    None,
+    "",
+    '{"seq": 0}\n',
+    '{"seq": 0}\n{"seq": 1, "val',
+]
+
+CELLS = st.floats(width=64) | st.sampled_from([-0.0, 5e-324, math.inf])
+
+
+@st.composite
+def quarantine_batches(draw):
+    """Rows of one width, cut into batches that may be empty."""
+    width = draw(st.integers(1, 4))
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_rows = draw(st.integers(0, 3))
+        rows = [draw(st.lists(CELLS, min_size=width, max_size=width))
+                for _ in range(n_rows)]
+        batches.append(np.array(rows, dtype=np.float64).reshape(n_rows, width))
+    return batches
+
+
+class TestExtend:
+    """``extend`` writes the bytes of one ``append`` per row, with one write."""
+
+    @staticmethod
+    def _run(path, prefix, batches, *, batched, reopen_after=None):
+        if prefix is not None:
+            path.write_text(prefix, encoding="utf-8")
+        clock = Ticker()
+        quarantine = (RowQuarantine if batched else LoopQuarantine)(path, clock=clock)
+        records = []
+        for index, rows in enumerate(batches):
+            n_rows = rows.shape[0]
+            kwargs = dict(
+                residuals=[float(i) + 0.25 for i in range(n_rows)],
+                z_scores=[float("nan")] * n_rows,
+                reasons=[f"r{index}-{i}" for i in range(n_rows)],
+                model_version=index + 1,
+            )
+            if batched:
+                records += quarantine.extend(rows, **kwargs)
+            else:
+                for i, row in enumerate(rows):
+                    records.append(
+                        quarantine.append(
+                            row,
+                            residual=kwargs["residuals"][i],
+                            z_score=kwargs["z_scores"][i],
+                            reason=kwargs["reasons"][i],
+                            model_version=kwargs["model_version"],
+                        )
+                    )
+            if index == reopen_after:
+                quarantine = type(quarantine)(path, clock=clock)
+        file_bytes = path.read_bytes() if path.exists() else None
+        return file_bytes, repr(records), clock.calls, quarantine.n_quarantined
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=quarantine_batches(),
+        prefix=st.sampled_from(PREFIXES),
+        reopen_after=st.none() | st.integers(0, 3),
+    )
+    def test_bytes_match_one_append_per_row(
+        self, tmp_path_factory, batches, prefix, reopen_after
+    ):
+        runs = [
+            self._run(
+                tmp_path_factory.mktemp("q") / "q.jsonl",
+                prefix,
+                batches,
+                batched=batched,
+                reopen_after=reopen_after,
+            )
+            for batched in (True, False)
+        ]
+        assert runs[0] == runs[1]
+
+    def test_torn_line_gets_one_newline(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_text('{"seq": 0}\n{"seq": 1, "val', encoding="utf-8")
+        quarantine = _quarantine(tmp_path)
+        records = quarantine.extend(
+            np.array([[1.0], [2.0]]),
+            residuals=[0.0, 0.0],
+            z_scores=[9.0, 9.0],
+            reasons=["a", "b"],
+            model_version=1,
+        )
+        assert [r["seq"] for r in records] == [2, 3]
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[1] == '{"seq": 1, "val'
+        assert [json.loads(line)["reason"] for line in lines[2:4]] == ["a", "b"]
+        assert lines[4:] == [""]
+
+    def test_empty_batch_writes_nothing(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_text('{"seq": 0, "v', encoding="utf-8")
+        quarantine = _quarantine(tmp_path)
+        assert quarantine.extend(
+            np.empty((0, 3)), residuals=[], z_scores=[], reasons=[],
+            model_version=1,
+        ) == []
+        assert path.read_text(encoding="utf-8") == '{"seq": 0, "v'
+        assert quarantine.n_quarantined == 1
+        assert not (tmp_path / "fresh.jsonl").exists()
+        _quarantine(tmp_path, "fresh.jsonl").extend(
+            np.empty((0, 3)), residuals=[], z_scores=[], reasons=[],
+            model_version=1,
+        )
+        assert not (tmp_path / "fresh.jsonl").exists()
+
+    def test_lengths_must_match(self, tmp_path):
+        with pytest.raises(ValueError, match="one residual, z-score and reason"):
+            _quarantine(tmp_path).extend(
+                np.zeros((2, 3)), residuals=[0.0], z_scores=[0.0, 0.0],
+                reasons=["a", "b"], model_version=1,
+            )
