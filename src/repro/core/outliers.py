@@ -415,12 +415,15 @@ def score_rows(
         raise ValueError(f"matrix must be 2-d, got ndim={matrix.ndim}")
     residuals = reconstruction_residuals(model, matrix)
     z_scores = calibration.z_scores(residuals)
+    # A non-finite z (a NaN or infinite cell) is an outlier, as the watch
+    # daemon routes it: ``nan > n_sigmas`` alone would pass it as clean.
+    outliers = ~(np.isfinite(z_scores) & (z_scores <= n_sigmas))
     return [
         RowScore(
             row=int(i),
             residual=float(residuals[i]),
             z_score=float(z_scores[i]),
-            is_outlier=bool(z_scores[i] > n_sigmas),
+            is_outlier=bool(outliers[i]),
         )
         for i in range(matrix.shape[0])
     ]

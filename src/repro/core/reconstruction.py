@@ -53,6 +53,7 @@ why the kernel deliberately avoids them.)
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -200,12 +201,14 @@ class FillOperator:
         """Number of known entries in the pattern."""
         return self.n_cols - len(self.hole_indices)
 
-    @property
+    @functools.cached_property
     def known_indices(self) -> np.ndarray:
-        """Sorted positions of the known entries."""
+        """Sorted positions of the known entries (computed once)."""
         mask = np.ones(self.n_cols, dtype=bool)
         mask[list(self.hole_indices)] = False
-        return np.nonzero(mask)[0]
+        known = np.nonzero(mask)[0]
+        known.flags.writeable = False  # shared by every caller
+        return known
 
     def predict(self, centered_known_rows: np.ndarray) -> np.ndarray:
         """Centered hole predictions for ``n x (M - h)`` centered knowns."""

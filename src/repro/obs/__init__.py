@@ -27,8 +27,8 @@ measurement substrate:
   ``ScanMetrics`` / ``ServeMetrics`` / ``PipelineMetrics`` records as
   scrape targets.
 - :mod:`repro.obs.export` -- Prometheus text-format and JSON
-  exporters over a registry, plus an optional stdlib ``http.server``
-  ``/metrics`` endpoint (CLI ``--metrics-port``).
+  exporters over a registry, plus an optional dependency-free
+  ``/metrics`` HTTP endpoint (CLI ``--metrics-port``).
 
 The record counters are plain ints/floats updated once per block, once
 per fit, or once per served batch -- never per cell -- and tracing off

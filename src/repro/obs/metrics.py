@@ -721,8 +721,8 @@ class ServeHttpMetrics:
     """Counters and timings for the HTTP serving tier.
 
     One record instruments one :class:`repro.serve.http.HttpApiServer`
-    (its request handlers and its coalescer batcher thread all report
-    into the same record).  All mutators take an internal lock; reads
+    (its request handlers and its coalescers' flushes all report into
+    the same record).  All mutators take an internal lock; reads
     for rendering are snapshots, not transactions.
 
     Attributes

@@ -30,6 +30,13 @@ Design constraints, in order:
    processes on one host are directly comparable, so adopted chunk
    spans order correctly against coordinator spans.
 
+Work that interleaves on one thread -- an event loop serving many
+requests -- cannot nest by the thread's stack: a request opened before
+another one may finish after it.  :func:`start_span` opens a span off
+the stack with an explicit parent; :meth:`SpanHandle.activated` puts it
+on the stack for a synchronous stretch, so ordinary :func:`span` calls
+nest under it; :meth:`SpanHandle.end` closes it.
+
 The module-level functions (:func:`span`, :func:`traced`,
 :func:`set_tracing`, :func:`drain_spans`, ...) all delegate to one
 process-global :class:`Tracer`; tests may build private tracers.
@@ -78,6 +85,7 @@ __all__ = [
     "render_span_tree",
     "set_tracing",
     "span",
+    "start_span",
     "traced",
     "tracing_enabled",
 ]
@@ -106,6 +114,13 @@ class _NullSpan:
 
     def set_attr(self, key: str, value: Any) -> None:
         """Discard the attribute (tracing is off)."""
+
+    def activated(self) -> "_NullSpan":
+        """No-op activation (tracing is off)."""
+        return self
+
+    def end(self, *, error: bool = False) -> None:
+        """Nothing to close (tracing is off)."""
 
 
 _NULL_SPAN = _NullSpan()
@@ -147,23 +162,49 @@ class SpanHandle:
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        end = time.perf_counter()
-        tracer = self._tracer
-        stack = tracer._stack()
+        stack = self._tracer._stack()
         if stack and stack[-1] is self:
             stack.pop()
-        tracer._record(
+        self.end(error=exc_type is not None)
+        return False
+
+    def end(self, *, error: bool = False) -> None:
+        """Close the span and record it (the context manager's exit)."""
+        self._tracer._record(
             {
                 "name": self.name,
                 "span_id": self.span_id,
                 "parent_id": self.parent_id,
                 "start": self.start,
-                "end": end,
+                "end": time.perf_counter(),
                 "pid": os.getpid(),
-                "status": "error" if exc_type is not None else "ok",
+                "status": "error" if error else "ok",
                 "attrs": self.attrs,
             }
         )
+
+    def activated(self) -> "_Activation":
+        """Context manager that makes this open span the thread's
+        current parent, without ending it on exit."""
+        return _Activation(self)
+
+
+class _Activation:
+    """Push an open span on its thread's stack for one ``with`` block."""
+
+    __slots__ = ("_handle",)
+
+    def __init__(self, handle: SpanHandle) -> None:
+        self._handle = handle
+
+    def __enter__(self) -> SpanHandle:
+        self._handle._tracer._stack().append(self._handle)
+        return self._handle
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        stack = self._handle._tracer._stack()
+        if stack and stack[-1] is self._handle:
+            stack.pop()
         return False
 
 
@@ -219,6 +260,26 @@ class Tracer:
         if not self.enabled:
             return _NULL_SPAN
         return SpanHandle(self, name, attrs)
+
+    def start(
+        self,
+        name: str,
+        *,
+        parent: Union[SpanHandle, _NullSpan, None] = None,
+        **attrs: Any,
+    ) -> Union[SpanHandle, _NullSpan]:
+        """Open a span off the thread's stack, under an explicit parent.
+
+        The span is closed with :meth:`SpanHandle.end`; it nests other
+        spans only inside :meth:`SpanHandle.activated`.
+        """
+        if not self.enabled:
+            return _NULL_SPAN
+        handle = SpanHandle(self, name, attrs)
+        handle.parent_id = parent.span_id if parent is not None else None
+        handle.span_id = self._new_id()
+        handle.start = time.perf_counter()
+        return handle
 
     def traced(self, name: Optional[str] = None) -> Callable[[_FuncT], _FuncT]:
         """Decorator form: wrap every call of the function in a span."""
@@ -328,6 +389,18 @@ def span(name: str, **attrs: Any) -> Union[SpanHandle, _NullSpan]:
     if not _GLOBAL.enabled:
         return _NULL_SPAN
     return SpanHandle(_GLOBAL, name, attrs)
+
+
+def start_span(
+    name: str,
+    *,
+    parent: Union[SpanHandle, _NullSpan, None] = None,
+    **attrs: Any,
+) -> Union[SpanHandle, _NullSpan]:
+    """Open a span off the thread's stack on the global tracer."""
+    if not _GLOBAL.enabled:
+        return _NULL_SPAN
+    return _GLOBAL.start(name, parent=parent, **attrs)
 
 
 def traced(name: Optional[str] = None) -> Callable[[_FuncT], _FuncT]:

@@ -380,12 +380,21 @@ class CSVTailSource(BatchSource):
                 f"not match the original schema {self.schema.names!r}"
             )
         if rotated:
-            self.n_rotations += 1
             # The rotated-away file is final: a trailing line without
             # a newline is now a complete row, not a partial write.
-            leftover, self._partial = self._partial, b""
-            if leftover.strip():
-                self._push(self._parse(leftover))
+            # Parse it before any state moves, so a bad row raises
+            # again on the next poll instead of being dropped.
+            try:
+                leftover = (
+                    self._parse(self._partial) if self._partial.strip() else None
+                )
+            except BaseException:
+                replacement.close()
+                raise
+            self.n_rotations += 1
+            self._partial = b""
+            if leftover is not None:
+                self._push(leftover)
         else:
             self.n_truncations += 1
             # Truncated in place: the bytes the partial came from no

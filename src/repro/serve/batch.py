@@ -282,23 +282,25 @@ class BatchFiller:
             return filled, tuple(cases), group_sizes, 0
 
         unique_patterns, inverse = group_hole_patterns(np.isnan(matrix))
+        centered = None
         for group, pattern_mask in enumerate(unique_patterns):
-            rows = np.nonzero(inverse == group)[0]
-            holes = np.nonzero(pattern_mask)[0]
+            rows = (inverse == group).nonzero()[0]
+            holes = pattern_mask.nonzero()[0]
             if holes.size == 0:
                 # Documented no-op fast path: complete rows pass
                 # through untouched and never touch the cache.
                 continue
+            row_list = rows.tolist()
             if holes.size == n_cols:
                 filled[rows] = means
-                for i in rows:
+                for i in row_list:
                     cases[i] = CASE_ALL_HOLES
-                n_holes_filled += int(rows.size) * n_cols
+                n_holes_filled += len(row_list) * n_cols
                 continue
-            pattern = tuple(int(i) for i in holes)
+            pattern = tuple(holes.tolist())
             key = (snapshot.version, pattern, self.underdetermined)
             with span(
-                "serve.group_apply", rows=int(rows.size), holes=len(pattern)
+                "serve.group_apply", rows=len(row_list), holes=len(pattern)
             ):
                 fill_op = self.cache.get_or_compute(
                     key,
@@ -307,13 +309,18 @@ class BatchFiller:
                         underdetermined=self.underdetermined,
                     ),
                 )
-                known = fill_op.known_indices
-                centered = matrix[np.ix_(rows, known)] - means[known]
-                filled[np.ix_(rows, holes)] = (
-                    fill_op.predict(centered) + means[holes]
+                if centered is None:
+                    centered = matrix - means  # once per batch
+                # One gather by row and column index arrays: the block is
+                # C-ordered, which the einsum's bits depend on (a chained
+                # ``centered[rows][:, known]`` would be F-ordered).
+                row_index = rows[:, None]
+                filled[row_index, holes] = (
+                    fill_op.predict(centered[row_index, fill_op.known_indices])
+                    + means[holes]
                 )
-            for i in rows:
+            for i in row_list:
                 cases[i] = fill_op.case
-            group_sizes.append(int(rows.size))
-            n_holes_filled += int(rows.size) * int(holes.size)
+            group_sizes.append(len(row_list))
+            n_holes_filled += len(row_list) * int(holes.size)
         return filled, tuple(cases), group_sizes, n_holes_filled

@@ -37,7 +37,12 @@ thread drains the queue into micro-batches when either
 - the earliest queued deadline minus ``flush_margin`` arrives,
 
 then runs **one** :meth:`~repro.serve.BatchFiller.fill_batch` per flush
-and fans the rows back out to the waiting request threads.  Because
+and fans the rows back out to the waiting requests.  Inside
+:class:`HttpApiServer` there is no batcher thread: the server's one
+event-loop thread admits each row with a completion callback and runs
+the flush itself, inline, when a batch fills or from a timer at the
+earliest deadline minus the margin -- each reply is written from the
+flush that served it.  Because
 ``fill_batch`` takes one atomic :class:`~repro.serve.PublishedModel`
 snapshot per call, a flush pins exactly one model version for its whole
 batch -- a concurrent hot-swap can never tear a micro-batch across two
@@ -70,6 +75,7 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Deque,
     Dict,
     List,
@@ -82,9 +88,9 @@ from typing import (
 import numpy as np
 
 from repro.core.model import RatioRuleModel
-from repro.obs.export import HttpService, ServiceHandler
+from repro.obs.export import MAX_BODY_BYTES, HttpService, ServiceHandler
 from repro.obs.metrics import ServeHttpMetrics
-from repro.obs.tracing import span
+from repro.obs.tracing import span, start_span
 from repro.serve.batch import BatchFiller
 from repro.serve.registry import ModelRegistry, NoModelPublishedError
 
@@ -99,10 +105,6 @@ __all__ = [
     "HttpApiServer",
     "QueueFullError",
 ]
-
-#: Largest accepted request body, in bytes (single-row payloads are
-#: tiny; anything bigger is a client error, not a bigger batch).
-MAX_BODY_BYTES = 1 << 20
 
 #: Cap on any single request deadline, in seconds.  ``json.loads``
 #: happily parses ``Infinity``/``1e400`` out of a request body; an
@@ -146,7 +148,7 @@ class CoalescedFill:
     flush_span:
         Span id of the ``serve.coalescer.flush`` span that served the
         request (``None`` while tracing is off); it links a request's
-        trace to the batcher thread's ``serve.fill_batch`` spans.
+        trace to the flush's ``serve.fill_batch`` spans.
     """
 
     filled: np.ndarray
@@ -160,18 +162,38 @@ class CoalescedFill:
 
 @dataclass
 class _Ticket:
-    """One queued request: a row, a deadline, and a result slot."""
+    """One queued request: a row, a deadline, and a result slot.
+
+    ``on_done`` (if any) runs on the flushing thread once the ticket
+    is resolved; a waiting thread blocks on ``done`` instead.
+    """
 
     row: np.ndarray
     deadline: float
     enqueued_at: float
-    done: threading.Event = field(default_factory=threading.Event)
+    done: Optional[threading.Event] = field(default_factory=threading.Event)
     result: Optional[CoalescedFill] = None
     error: Optional[BaseException] = None
+    on_done: Optional[Callable[["_Ticket"], None]] = None
+
+    def resolve(self) -> None:
+        if self.done is not None:
+            self.done.set()
+        if self.on_done is not None:
+            try:
+                self.on_done(self)
+            except Exception:  # one broken callback must not strand the rest
+                _logger.exception("coalesced fill callback failed")
 
 
 class DeadlineCoalescer:
     """Coalesce single-row fill requests into micro-batches.
+
+    It runs in one of two modes over one flush path.  :meth:`start`
+    runs a batcher thread for in-process callers of :meth:`fill`.
+    :meth:`bind` runs none: an event loop admits rows with
+    :meth:`submit` and a callback, asks :meth:`next_flush_at` when to
+    flush, and calls :meth:`flush_once` on its own thread.
 
     Parameters
     ----------
@@ -217,19 +239,24 @@ class DeadlineCoalescer:
         self.queue_limit = int(queue_limit)
         self.metrics = metrics if metrics is not None else ServeHttpMetrics()
         self._queue: Deque[_Ticket] = deque()
-        self._wake = threading.Condition(threading.Lock())
+        # Hold ``_lock`` (a C-level lock) for queue access and wait or
+        # notify through ``_wake``, the condition built on it.
+        self._lock = threading.Lock()
+        self._wake = threading.Condition(self._lock)
         self._thread: Optional[threading.Thread] = None
+        self._on_admit: Optional[Callable[[], None]] = None
         self._stopping = False
 
     # -- lifecycle ---------------------------------------------------------
 
     @property
     def running(self) -> bool:
-        """Whether the batcher thread is alive and accepting work.
+        """Whether the flushing thread is alive and accepting work.
 
         Checks actual thread liveness, not just lifecycle state: if the
-        batcher ever died, health checks must fail and :meth:`submit`
-        must refuse work that could never be served.
+        batcher (or the event loop it is bound to) ever died, health
+        checks must fail and :meth:`submit` must refuse work that could
+        never be served.
         """
         thread = self._thread
         return (
@@ -246,29 +273,59 @@ class DeadlineCoalescer:
         )
         self._thread.start()
 
+    def bind(self, thread: threading.Thread, on_admit: Callable[[], None]) -> None:
+        """Serve from ``thread``'s event loop instead of a batcher.
+
+        ``on_admit`` runs after every admission; the loop answers by
+        calling :meth:`flush_once` on ``thread`` whenever
+        :meth:`next_flush_at` says a flush is due.  :meth:`stop` unbinds.
+        """
+        if self._thread is not None:
+            raise RuntimeError("DeadlineCoalescer already started")
+        self._stopping = False
+        self._on_admit = on_admit
+        self._thread = thread
+
     def stop(self) -> None:
         """Drain the queue with a final flush round, then stop.
 
         Idempotent; requests submitted after the stop begins are
         refused with :class:`CoalescerStoppedError`, but everything
-        already queued is still served (graceful shutdown).
+        already queued is still served (graceful shutdown).  A bound
+        coalescer is drained by its loop before the loop exits; this
+        only unbinds it.
         """
-        with self._wake:
+        with self._lock:
             if self._thread is None:
                 return
             self._stopping = True
             thread = self._thread
             self._wake.notify_all()
-        thread.join(timeout=30.0)
+        if self._on_admit is None:
+            thread.join(timeout=30.0)
+        self._on_admit = None
         self._thread = None
+        with self._lock:  # left behind only if the loop died first
+            stranded = list(self._queue)
+            self._queue.clear()
+        for ticket in stranded:
+            ticket.error = CoalescerStoppedError("coalescer stopped")
+            ticket.resolve()
 
     # -- request side ------------------------------------------------------
 
-    def submit(self, row: np.ndarray, timeout: float) -> _Ticket:
+    def submit(
+        self,
+        row: np.ndarray,
+        timeout: float,
+        on_done: Optional[Callable[[_Ticket], None]] = None,
+    ) -> _Ticket:
         """Enqueue one row; returns the ticket to wait on.
 
-        Timeouts are clamped to :data:`MAX_TIMEOUT_SECONDS` so a queued
-        deadline can never overflow the batcher's condition wait.
+        ``on_done`` runs on the flushing thread once the ticket holds
+        its result or error.  Timeouts are clamped to
+        :data:`MAX_TIMEOUT_SECONDS` so a queued deadline can never
+        overflow the batcher's condition wait.
 
         Raises
         ------
@@ -294,8 +351,10 @@ class DeadlineCoalescer:
             row=np.asarray(row, dtype=np.float64),
             deadline=now + min(float(timeout), MAX_TIMEOUT_SECONDS),
             enqueued_at=now,
+            done=threading.Event() if on_done is None else None,
+            on_done=on_done,
         )
-        with self._wake:
+        with self._lock:
             if not self.running:
                 raise CoalescerStoppedError("coalescer is not running")
             if len(self._queue) >= self.queue_limit:
@@ -305,7 +364,11 @@ class DeadlineCoalescer:
                 )
             self._queue.append(ticket)
             self.metrics.record_enqueue(len(self._queue))
-            self._wake.notify_all()
+            on_admit = self._on_admit
+            if on_admit is None:
+                self._wake.notify_all()
+        if on_admit is not None:
+            on_admit()
         return ticket
 
     def fill(self, row: np.ndarray, timeout: float) -> CoalescedFill:
@@ -315,6 +378,7 @@ class DeadlineCoalescer:
         grace; the batcher always resolves every drained ticket.
         """
         ticket = self.submit(row, timeout)
+        assert ticket.done is not None
         ticket.done.wait(max(0.0, ticket.deadline - time.monotonic()) + 30.0)
         if ticket.error is not None:
             raise ticket.error
@@ -322,7 +386,37 @@ class DeadlineCoalescer:
             raise CoalescerStoppedError("coalescer dropped the request")
         return ticket.result
 
-    # -- batcher thread ----------------------------------------------------
+    # -- flushing ----------------------------------------------------------
+
+    def next_flush_at(self) -> Optional[float]:
+        """``time.monotonic()`` at which the next flush is due.
+
+        ``None`` while the queue is empty; ``-inf`` when a flush is due
+        now (a full batch, or a stop draining the queue).
+        """
+        with self._lock:
+            return self._flush_at()
+
+    def _flush_at(self) -> Optional[float]:
+        if not self._queue:
+            return None
+        if self._stopping or len(self._queue) >= self.max_batch_rows:
+            return -math.inf
+        return min(t.deadline for t in self._queue) - self.flush_margin
+
+    def flush_once(self) -> None:
+        """Drain up to ``max_batch_rows`` queued rows and serve them."""
+        with self._lock:
+            batch, depth_after = self._take()
+        if batch:
+            self._flush(batch, depth_after)
+
+    def _take(self) -> Tuple[List[_Ticket], int]:
+        batch = [
+            self._queue.popleft()
+            for _ in range(min(len(self._queue), self.max_batch_rows))
+        ]
+        return batch, len(self._queue)
 
     def _run(self) -> None:
         while True:
@@ -339,7 +433,7 @@ class DeadlineCoalescer:
 
     def _run_once(self) -> bool:
         """One wait/drain/flush round; True means stopped and drained."""
-        with self._wake:
+        with self._lock:
             while not self._stopping and not self._queue:
                 self._wake.wait()
             if self._stopping and not self._queue:
@@ -347,14 +441,10 @@ class DeadlineCoalescer:
             # Wait for a full batch or the earliest deadline minus
             # the flush margin, whichever comes first.  Stopping
             # short-circuits straight to a drain.
-            while (
-                not self._stopping
-                and 0 < len(self._queue) < self.max_batch_rows
-            ):
+            while True:
+                flush_at = self._flush_at()
                 now = time.monotonic()
-                earliest = min(t.deadline for t in self._queue)
-                flush_at = earliest - self.flush_margin
-                if now >= flush_at:
+                if flush_at is None or now >= flush_at:
                     break
                 # Deadlines are clamped at admission; the extra min()
                 # keeps the condition wait inside time_t range even if
@@ -362,30 +452,25 @@ class DeadlineCoalescer:
                 self._wake.wait(
                     timeout=min(flush_at - now, MAX_TIMEOUT_SECONDS)
                 )
-            if not self._queue:
-                return False
-            batch = [
-                self._queue.popleft()
-                for _ in range(min(len(self._queue), self.max_batch_rows))
-            ]
-            depth_after = len(self._queue)
-        self._flush(batch, depth_after)
+            batch, depth_after = self._take()
+        if batch:
+            self._flush(batch, depth_after)
         return False
 
     def _flush(self, batch: List[_Ticket], depth_after: int) -> None:
         """Serve one drained micro-batch and fan the rows back out."""
         now = time.monotonic()
         live: List[_Ticket] = []
+        expired: List[_Ticket] = []
         for ticket in batch:
-            if now > ticket.deadline:
+            (expired if now > ticket.deadline else live).append(ticket)
+        if expired:
+            self.metrics.record_expired(len(expired))
+            for ticket in expired:
                 ticket.error = DeadlineExpiredError(
                     "deadline expired while queued"
                 )
-                ticket.done.set()
-            else:
-                live.append(ticket)
-        if len(live) < len(batch):
-            self.metrics.record_expired(len(batch) - len(live))
+                ticket.resolve()
         if not live:
             return
         # Rows were validated against the registry snapshot current at
@@ -401,10 +486,12 @@ class DeadlineCoalescer:
             self._serve_group(group, depth_after)
 
     def _serve_group(self, live: List[_Ticket], depth_after: int) -> None:
+        # Metrics are recorded before any ticket resolves: a client
+        # holding its reply must find the flush already counted.
         try:
             with span("serve.coalescer.flush", rows=len(live)) as flush_span:
                 result = self.filler.fill_batch(
-                    np.vstack([ticket.row for ticket in live])
+                    np.array([ticket.row for ticket in live])
                 )
         except BaseException as exc:
             if isinstance(exc, ValueError) and not isinstance(
@@ -415,13 +502,16 @@ class DeadlineCoalescer:
                 # model (a hot-swap changed the served width while the
                 # rows queued): client/model skew, not a server fault.
                 exc = _BadRequest(str(exc))
+            self.metrics.record_error(len(live))
             for ticket in live:
                 ticket.error = exc
-                ticket.done.set()
-            self.metrics.record_error(len(live))
+                ticket.resolve()
             return
         served_at = time.monotonic()
         waits = [served_at - ticket.enqueued_at for ticket in live]
+        self.metrics.record_flush(
+            n_rows=len(live), waits=waits, queue_depth=depth_after
+        )
         for i, ticket in enumerate(live):
             ticket.result = CoalescedFill(
                 filled=result.filled[i],
@@ -432,10 +522,7 @@ class DeadlineCoalescer:
                 wait_seconds=waits[i],
                 flush_span=flush_span.span_id,
             )
-            ticket.done.set()
-        self.metrics.record_flush(
-            n_rows=len(live), waits=waits, queue_depth=depth_after
-        )
+            ticket.resolve()
 
 
 # -- the HTTP layer --------------------------------------------------------
@@ -464,6 +551,8 @@ class _TenantState:
     registry: ModelRegistry
     filler: BatchFiller
     coalescer: DeadlineCoalescer
+    #: The loop's pending flush timer.
+    timer: Any = None
 
 
 def _parse_body(handler: ServiceHandler) -> Dict[str, Any]:
@@ -502,6 +591,9 @@ def _parse_body(handler: ServiceHandler) -> Dict[str, Any]:
     return payload
 
 
+_FLOAT_OR_NULL = frozenset((float, type(None)))
+
+
 def _parse_row(payload: Dict[str, Any], width: int) -> np.ndarray:
     """Decode ``{"row": [...]}``; ``null`` cells are holes (NaN)."""
     values = payload.get("row")
@@ -512,6 +604,11 @@ def _parse_row(payload: Dict[str, Any], width: int) -> np.ndarray:
             f'"row" has {len(values)} cells; the served model expects '
             f"{width}"
         )
+    if set(map(type, values)) <= _FLOAT_OR_NULL:
+        # The common shape of a JSON row: numpy maps None to NaN.
+        row = np.array(values, dtype=np.float64)
+        if not np.isinf(row).any():
+            return row
     row = np.empty(len(values), dtype=np.float64)
     for i, cell in enumerate(values):
         if cell is None:
@@ -552,7 +649,11 @@ class _ApiHandler(ServiceHandler):
 
     Each request runs inside a ``serve.http.request`` span with
     ``serve.http.parse``, ``serve.http.wait`` (admission plus queue
-    wait) and ``serve.http.reply`` (encode plus write) children.
+    wait) and ``serve.http.reply`` (encode plus write) children.  Many
+    requests interleave on the loop thread, so the request span is
+    opened off the thread's stack and activated only while this
+    request's code runs; the flush that serves it is a root span of
+    its own, linked through the ``flush_span`` attribute.
     """
 
     # Injected by HttpApiServer via a subclass attribute.
@@ -564,6 +665,22 @@ class _ApiHandler(ServiceHandler):
     _span: Any
 
     # -- plumbing ----------------------------------------------------------
+
+    def wants_body(self) -> bool:
+        """An unroutable POST is answered (404) without its body."""
+        if self.command != "POST":
+            return True
+        return self._route_post(self.path.split("?", 1)[0]) is not None
+
+    def _serve_request(self, method: str, path: str) -> None:
+        self._span = start_span("serve.http.request", method=method, path=path)
+        with self._span.activated():
+            if method == "POST":
+                self._post(path)
+            else:
+                self._get(path)
+        if not self._deferred:
+            self._span.end()
 
     def _respond(
         self,
@@ -618,15 +735,11 @@ class _ApiHandler(ServiceHandler):
             return None
         return verb, method, None
 
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        path = self.path.split("?", 1)[0]
-        with span("serve.http.request", method="POST", path=path) as self._span:
-            self._post(path)
+    def do_POST(self) -> None:  # noqa: N802 - stdlib handler API
+        self._serve_request("POST", self.path.split("?", 1)[0])
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        path = self.path.split("?", 1)[0]
-        with span("serve.http.request", method="GET", path=path) as self._span:
-            self._get(path)
+    def do_GET(self) -> None:  # noqa: N802 - stdlib handler API
+        self._serve_request("GET", self.path.split("?", 1)[0])
 
     def _post(self, path: str) -> None:
         route = self._route_post(path)
@@ -643,15 +756,20 @@ class _ApiHandler(ServiceHandler):
                 state = self.service.tenant_state(tenant)
                 payload = _parse_body(self)
             getattr(self, method)(payload, state)
-        except _UnknownTenant as exc:
+        except Exception as exc:
+            self._fail(exc)
+
+    def _fail(self, exc: BaseException) -> None:
+        """Answer a request with the status its failure maps to."""
+        if isinstance(exc, _UnknownTenant):
             self.close_connection = True
             self._error(404, str(exc))
-        except _BadRequest as exc:
+        elif isinstance(exc, _BadRequest):
             self.service.metrics.record_bad_request()
             self._error(400, str(exc))
-        except NoModelPublishedError:
+        elif isinstance(exc, NoModelPublishedError):
             self._error(503, "no model published yet")
-        except QueueFullError as exc:
+        elif isinstance(exc, QueueFullError):
             self._error(
                 429,
                 str(exc),
@@ -659,11 +777,9 @@ class _ApiHandler(ServiceHandler):
                     "Retry-After": str(self.service.retry_after_seconds)
                 },
             )
-        except DeadlineExpiredError as exc:
+        elif isinstance(exc, (DeadlineExpiredError, CoalescerStoppedError)):
             self._error(503, str(exc))
-        except CoalescerStoppedError as exc:
-            self._error(503, str(exc))
-        except Exception as exc:  # flush-side or handler-side failure
+        else:  # flush-side or handler-side failure
             self._error(500, f"{type(exc).__name__}: {exc}")
 
     def _get(self, path: str) -> None:
@@ -713,30 +829,54 @@ class _ApiHandler(ServiceHandler):
         return min(seconds, MAX_TIMEOUT_SECONDS)
 
     def _coalesced_fill(
-        self, state: "_TenantState", row: np.ndarray, payload: Dict[str, Any]
-    ) -> CoalescedFill:
+        self,
+        state: "_TenantState",
+        row: np.ndarray,
+        payload: Dict[str, Any],
+        answer: Callable[[CoalescedFill], None],
+    ) -> None:
+        """Admit ``row``; the flush that serves it calls ``answer``."""
         timeout = self._timeout_seconds(payload)
-        with span("serve.http.wait"):
-            outcome = state.coalescer.fill(row, timeout)
-        self._span.set_attr("flush_span", outcome.flush_span)
-        return outcome
+        request = self._span
+        wait = start_span("serve.http.wait", parent=request)
+
+        def done(ticket: _Ticket) -> None:
+            wait.end(error=ticket.error is not None)
+            with request.activated():
+                if ticket.error is not None:
+                    self._fail(ticket.error)
+                else:
+                    assert ticket.result is not None
+                    request.set_attr("flush_span", ticket.result.flush_span)
+                    answer(ticket.result)
+            request.end()
+
+        try:
+            state.coalescer.submit(row, timeout, on_done=done)
+        except BaseException:
+            wait.end(error=True)
+            raise
+        self.defer()
 
     def _handle_fill(
         self, payload: Dict[str, Any], state: "_TenantState"
     ) -> None:
         snapshot = state.registry.current()
         row = _parse_row(payload, snapshot.model.schema_.width)
-        outcome = self._coalesced_fill(state, row, payload)
-        self._respond(
-            200,
-            {
-                "filled": [float(v) for v in outcome.filled],
-                "case": outcome.case,
-                "version": outcome.version,
-                "fingerprint": outcome.fingerprint,
-                "coalesced_rows": outcome.flush_rows,
-            },
-        )
+
+        def answer(outcome: CoalescedFill) -> None:
+            self._respond(
+                200,
+                {
+                    "filled": outcome.filled.tolist(),
+                    "case": outcome.case,
+                    "version": outcome.version,
+                    "fingerprint": outcome.fingerprint,
+                    "coalesced_rows": outcome.flush_rows,
+                },
+            )
+
+        self._coalesced_fill(state, row, payload, answer)
 
     def _handle_whatif(
         self, payload: Dict[str, Any], state: "_TenantState"
@@ -764,20 +904,23 @@ class _ApiHandler(ServiceHandler):
                 row[schema.index_of(name)] = baselines[name] * factor
         except KeyError as exc:
             raise _BadRequest(f"unknown attribute: {exc}") from None
-        outcome = self._coalesced_fill(state, row, payload)
-        self._respond(
-            200,
-            {
-                "values": {
-                    name: float(outcome.filled[j])
-                    for j, name in enumerate(schema.names)
+
+        def answer(outcome: CoalescedFill) -> None:
+            self._respond(
+                200,
+                {
+                    "values": {
+                        name: float(outcome.filled[j])
+                        for j, name in enumerate(schema.names)
+                    },
+                    "specified": sorted(set(fixed) | set(scaled)),
+                    "case": outcome.case,
+                    "version": outcome.version,
+                    "fingerprint": outcome.fingerprint,
                 },
-                "specified": sorted(set(fixed) | set(scaled)),
-                "case": outcome.case,
-                "version": outcome.version,
-                "fingerprint": outcome.fingerprint,
-            },
-        )
+            )
+
+        self._coalesced_fill(state, row, payload, answer)
 
     def _handle_outlier(
         self, payload: Dict[str, Any], state: "_TenantState"
@@ -1029,6 +1172,8 @@ class HttpApiServer(HttpService):
             self.default_state.name: self.default_state
         }
         self._tenants_lock = threading.Lock()
+        #: Tenants with rows admitted since the loop last pumped.
+        self._admitted: List[_TenantState] = []
         self._watcher = None
         if store is not None and watch_interval > 0.0:
             from repro.store import StoreWatcher
@@ -1082,14 +1227,14 @@ class HttpApiServer(HttpService):
             coalescer = DeadlineCoalescer(
                 filler, metrics=self.metrics, **self._coalescer_opts
             )
-            if self.coalescer.running:
-                coalescer.start()
             state = _TenantState(
                 name=tenant,
                 registry=registry,
                 filler=filler,
                 coalescer=coalescer,
             )
+            if self._thread is not None:
+                self._bind(state, self._thread)
             self._tenants[tenant] = state
             return state
 
@@ -1110,44 +1255,95 @@ class HttpApiServer(HttpService):
             ],
         }
 
+    # -- the loop side -----------------------------------------------------
+
+    def _bind(self, state: _TenantState, thread: threading.Thread) -> None:
+        def admitted() -> None:
+            if threading.current_thread() is thread:
+                self._admitted.append(state)  # pumped once the handler returns
+            elif self._loop is not None:  # an in-process caller's thread
+                self._loop.call_soon_threadsafe(self._pump, state)
+
+        state.coalescer.bind(thread, admitted)
+
+    def _attach(self, thread: threading.Thread) -> None:
+        with self._tenants_lock:
+            states = list(self._tenants.values())
+        for state in states:
+            self._bind(state, thread)
+
+    def _after_dispatch(self) -> None:
+        while self._admitted:
+            self._pump(self._admitted.pop())
+
+    def _pump(self, state: _TenantState) -> None:
+        """Run every flush now due for one tenant; time the next one."""
+        coalescer = state.coalescer
+        while True:
+            flush_at = coalescer.next_flush_at()
+            if flush_at is None:
+                return
+            if flush_at > time.monotonic():  # the loop's clock
+                timer = state.timer
+                if timer is None or timer.at > flush_at:
+                    if timer is not None:
+                        timer.cancel()
+                    assert self._loop is not None
+                    state.timer = self._loop.call_at(
+                        flush_at, self._on_timer, state
+                    )
+                return
+            coalescer.flush_once()
+
+    def _on_timer(self, state: _TenantState) -> None:
+        state.timer = None
+        self._pump(state)
+
+    def _drain(self) -> None:
+        """Serve everything still queued before the connections close."""
+        with self._tenants_lock:
+            states = list(self._tenants.values())
+        for state in states:
+            state.coalescer._stopping = True
+            self._pump(state)
+
     # -- lifecycle ---------------------------------------------------------
 
     def _handler_class(self) -> Type[ServiceHandler]:
         return type("_BoundApiHandler", (_ApiHandler,), {"service": self})
 
     def start(self) -> int:
-        """Start the coalescer(s) and watcher, then bind and serve."""
+        """Start the watcher, then bind and serve every tenant's
+        coalescer from the one event-loop thread."""
         if self.running:
             raise RuntimeError(f"{type(self).__name__} already started")
-        with self._tenants_lock:
-            states = list(self._tenants.values())
-        for state in states:
-            state.coalescer.start()
         if self._watcher is not None:
             self._watcher.start()
         try:
             return super().start()
         except Exception:
-            if self._watcher is not None:
-                self._watcher.stop()
-            for state in states:
-                state.coalescer.stop()
+            self._stop_tenants()
             raise
 
     def stop(self) -> None:
-        """Stop accepting requests, then drain and stop every coalescer.
+        """Stop accepting requests, serve what is queued, then stop.
 
         Idempotent, like :meth:`HttpService.stop`.  The order matters:
         the listener goes down first so no new requests arrive, then
-        each coalescer's final flush serves everything already queued.
+        the loop's final flushes serve everything already queued, and
+        only then do the connections close.
         """
         super().stop()
+        self._stop_tenants()
+
+    def _stop_tenants(self) -> None:
         if self._watcher is not None:
             self._watcher.stop()
         with self._tenants_lock:
             states = list(self._tenants.values())
         for state in states:
             state.coalescer.stop()
+            state.timer = None
 
     def __enter__(self) -> "HttpApiServer":
         self.start()

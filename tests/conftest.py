@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
+import time
+from typing import Iterator, Set
+
 import numpy as np
 import pytest
 
@@ -114,3 +120,66 @@ def assert_eigenpairs_valid(matrix, eigenvalues, eigenvectors, atol=1e-8):
     assert np.linalg.norm(residual) / scale < atol
     gram = eigenvectors.T @ eigenvectors
     np.testing.assert_allclose(gram, np.eye(eigenvectors.shape[1]), atol=1e-7)
+
+
+# -- leak check for the serving suites ---------------------------------------
+
+#: Thread-name prefixes of the serving tier's threads: the HTTP event
+#: loops, the standalone coalescer's batcher, and the store watcher.
+SERVING_THREAD_PREFIXES = (
+    "repro-serve-",
+    "repro-http-",
+    "repro-metrics-",
+    "repro-store-watcher",
+)
+
+
+def listening_sockets() -> Set[str]:
+    """``socket:[inode]`` names of this process's listening TCP sockets
+    (empty where ``/proc`` is not available)."""
+    listening = set()
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        try:
+            with open(table) as handle:
+                rows = handle.read().splitlines()[1:]
+        except OSError:
+            continue
+        listening.update(
+            row.split()[9] for row in rows if row.split()[3] == "0A"
+        )
+    mine = set()
+    try:
+        descriptors = os.listdir("/proc/self/fd")
+    except OSError:
+        return mine
+    for fd in descriptors:
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("socket:[") and target[8:-1] in listening:
+            mine.add(target)
+    return mine
+
+
+@contextlib.contextmanager
+def no_leaked_servers(grace: float = 5.0) -> Iterator[None]:
+    """Fail if a serving thread or a listening socket started inside the
+    block is still alive ``grace`` seconds after it ends."""
+    threads = set(threading.enumerate())
+    sockets = listening_sockets()
+    yield
+    deadline = time.monotonic() + grace
+    while True:
+        leaked = sorted(
+            thread.name
+            for thread in threading.enumerate()
+            if thread not in threads
+            and thread.name.startswith(SERVING_THREAD_PREFIXES)
+        )
+        listeners = sorted(listening_sockets() - sockets)
+        if not (leaked or listeners) or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    assert not leaked, f"serving threads outlived their tests: {leaked}"
+    assert not listeners, f"listening sockets outlived their tests: {listeners}"

@@ -5,9 +5,11 @@ import pytest
 
 from repro.core.model import RatioRuleModel
 from repro.core.outliers import (
+    calibrate_residuals,
     detect_cell_outliers,
     detect_row_outliers,
     reconstruction_residuals,
+    score_rows,
 )
 
 
@@ -161,3 +163,21 @@ class TestDeterminism:
             reconstruction_residuals(model, corrupted),
             reconstruction_residuals(model, corrupted),
         )
+
+
+class TestScoreRows:
+    def test_non_finite_row_is_an_outlier(self, clean_matrix):
+        """A NaN cell gives a NaN z-score, which must not pass as clean."""
+        model = RatioRuleModel(cutoff=1).fit(clean_matrix)
+        calibration = calibrate_residuals(model, clean_matrix)
+        scores = score_rows(
+            model, np.array([[1.0, np.nan, 0.5], [1.0, 200.0, 0.5]]), calibration
+        )
+        assert np.isnan(scores[0].z_score)
+        assert [score.is_outlier for score in scores] == [True, True]
+
+    def test_clean_rows_stay_clean(self, clean_matrix):
+        model = RatioRuleModel(cutoff=1).fit(clean_matrix)
+        calibration = calibrate_residuals(model, clean_matrix)
+        scores = score_rows(model, clean_matrix[:20], calibration, n_sigmas=6.0)
+        assert not any(score.is_outlier for score in scores)

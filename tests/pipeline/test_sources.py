@@ -226,6 +226,24 @@ class TestCSVTailSourceRotation:
         assert source.n_rotations == 1
         source.close()
 
+    def test_bad_leftover_raises_on_every_poll_without_leaking(self, tmp_path):
+        import os
+
+        path = tmp_path / "data.csv"
+        self._write(path, ["a,b\n", "1,2\n", "3,x"])  # a bad, unterminated tail
+        source = CSVTailSource(path, follow=True, on_bad_row="raise")
+        np.testing.assert_array_equal(source.poll(10), [[1.0, 2.0]])
+        rotated = tmp_path / "data.csv.new"
+        self._write(rotated, ["a,b\n", "5,6\n"], mode="w")
+        os.replace(rotated, path)
+        fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="3,x"):
+                source.poll(10)
+            assert source.n_rotations == 0
+            assert len(os.listdir("/proc/self/fd")) == fds
+        source.close()
+
     def test_replacement_with_different_header_rejected(self, tmp_path):
         import os
 

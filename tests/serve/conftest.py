@@ -18,7 +18,7 @@ from typing import Any, Dict, Tuple
 import pytest
 
 from repro.core.model import RatioRuleModel
-from tests.conftest import make_rank2_matrix, punch_holes
+from tests.conftest import make_rank2_matrix, no_leaked_servers, punch_holes
 
 __all__ = ["http_get", "http_post", "make_rank2_matrix", "punch_holes"]
 
@@ -55,6 +55,13 @@ def http_get(url: str, *, timeout: float = 10.0) -> _Response:
             )
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read()), dict(error.headers)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_leaked_servers():
+    """Every server and coalescer a test module starts is stopped by its end."""
+    with no_leaked_servers():
+        yield
 
 
 @pytest.fixture

@@ -6,9 +6,13 @@ queued -- yields **503**, and the ``ServeHttpMetrics`` shed/expired
 counters account for **every** rejected request exactly (no rejection
 is silent, none is double-counted).
 
-Determinism: the server is built around an injected *gated* filler
-whose ``fill_batch`` blocks until the test releases it, so the queue
-can be saturated reliably instead of racing real compute.
+Determinism: the coalescer-level tests inject a *gated* filler whose
+``fill_batch`` blocks until the test releases it, so the queue can be
+saturated reliably instead of racing real compute.  The HTTP server
+flushes on its event-loop thread, where a blocked ``fill_batch`` would
+stop the loop from reading the very requests meant to fill the queue;
+there the test holds the flush trigger instead, and the loop keeps
+admitting while flushes wait.
 """
 
 from __future__ import annotations
@@ -51,20 +55,33 @@ class GatedFiller(BatchFiller):
 
 
 @pytest.fixture
-def gated_server(served_model):
-    """A server whose first flush parks inside ``fill_batch`` until the
-    test releases the gate, with a queue of ``QUEUE_LIMIT``."""
-    filler = GatedFiller(served_model)
+def held_server(served_model, monkeypatch):
+    """A server with a queue of ``QUEUE_LIMIT`` whose flushes wait while
+    the returned ``hold`` event is set.
+
+    While held, the loop is told each due flush is 5 ms away, so it
+    re-checks on a timer and keeps reading and admitting requests.
+    """
+    hold = threading.Event()
+    next_flush_at = DeadlineCoalescer.next_flush_at
+
+    def held_next_flush_at(coalescer):
+        due = next_flush_at(coalescer)
+        if due is not None and hold.is_set():
+            return time.monotonic() + 0.005
+        return due
+
+    monkeypatch.setattr(DeadlineCoalescer, "next_flush_at", held_next_flush_at)
     api = HttpApiServer(
-        filler,
+        served_model,
         port=0,
         max_batch_rows=1,
         flush_margin=0.0,
         queue_limit=QUEUE_LIMIT,
     )
     api.start()
-    yield api, filler
-    filler.release.set()
+    yield api, hold
+    hold.clear()
     api.stop()
 
 
@@ -92,17 +109,18 @@ def _post_fill(api, *, timeout_ms, background=False):
     return thread, result
 
 
-def test_shedding_and_expiry_account_for_every_rejection(gated_server):
-    api, filler = gated_server
+def test_shedding_and_expiry_account_for_every_rejection(held_server):
+    api, hold = held_server
     metrics = api.metrics
 
-    # 1. One request is drained by the batcher and parks in the gate.
-    in_flight = _post_fill(api, timeout_ms=30_000, background=True)
-    assert filler.entered.wait(timeout=5.0)
+    # 1. One request is served through a flush of its own.
+    status, _, _ = _post_fill(api, timeout_ms=30_000)
+    assert status == 200
 
-    # 2. Fill the bounded queue behind the parked flush: patient
-    #    requests in every slot but the last, then one whose deadline
-    #    will lapse while it waits.
+    # 2. Hold the flushes and fill the bounded queue: patient requests
+    #    in every slot but the last, then one whose deadline will lapse
+    #    while it waits.
+    hold.set()
     queued = [
         _post_fill(api, timeout_ms=30_000, background=True)
         for _ in range(QUEUE_LIMIT - 1)
@@ -125,10 +143,10 @@ def test_shedding_and_expiry_account_for_every_rejection(gated_server):
 
     time.sleep(0.08)  # let the queued 40 ms deadline lapse
 
-    # 5. Release the gate: the parked flush and the queued requests
-    #    complete; the expired one comes back 503.
-    filler.release.set()
-    for thread, result in [in_flight] + queued:
+    # 5. Release the hold: the queued requests complete; the expired
+    #    one comes back 503.
+    hold.clear()
+    for thread, result in queued:
         thread.join(timeout=10.0)
         assert result["response"][0] == 200
     thread, result = expiring
