@@ -860,34 +860,9 @@ class _ObsSession:
         """Expose a metrics record on the ``/metrics`` endpoint."""
         if self._server is None or record is None:
             return
-        from repro.obs import (
-            PipelineMetrics,
-            ScanMetrics,
-            ServeHttpMetrics,
-            ServeMetrics,
-            StoreMetrics,
-            WatchMetrics,
-            register_pipeline_metrics,
-            register_scan_metrics,
-            register_serve_http_metrics,
-            register_serve_metrics,
-            register_store_metrics,
-            register_watch_metrics,
-        )
+        from repro.obs import register_record
 
-        registry = self._server.registry
-        if isinstance(record, ScanMetrics):
-            register_scan_metrics(registry, record)
-        elif isinstance(record, ServeMetrics):
-            register_serve_metrics(registry, record)
-        elif isinstance(record, ServeHttpMetrics):
-            register_serve_http_metrics(registry, record)
-        elif isinstance(record, PipelineMetrics):
-            register_pipeline_metrics(registry, record)
-        elif isinstance(record, StoreMetrics):
-            register_store_metrics(registry, record)
-        elif isinstance(record, WatchMetrics):
-            register_watch_metrics(registry, record)
+        register_record(self._server.registry, record)
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self.trace_path is not None:
@@ -904,6 +879,14 @@ class _ObsSession:
         if self._server is not None:
             self._server.stop()
             self._server = None
+
+
+def _print_stats(title: str, record) -> None:
+    """One ``--stats`` block: a blank line, the underlined title, the record."""
+    print()
+    print(title)
+    print("-" * len(title))
+    print(record.render())
 
 
 def _obs_register(args: argparse.Namespace, record) -> None:
@@ -986,10 +969,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     print()
     print(model.describe())
     if args.stats and model.metrics_ is not None:
-        print()
-        print("Scan statistics")
-        print("---------------")
-        print(model.metrics_.render())
+        _print_stats("Scan statistics", model.metrics_)
     if args.save:
         model.save(args.save)
         print(f"\nModel saved to {args.save}")
@@ -1112,15 +1092,9 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         for row in filled:
             print(",".join(f"{value:g}" for value in row))
     if args.stats:
-        print()
-        print("Serving statistics")
-        print("------------------")
-        print(filler.metrics.render())
+        _print_stats("Serving statistics", filler.metrics)
         if store is not None:
-            print()
-            print("Model store statistics")
-            print("----------------------")
-            print(store.metrics.render())
+            _print_stats("Model store statistics", store.metrics)
     return 0
 
 
@@ -1182,15 +1156,9 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     finally:
         server.stop()
     if args.stats:
-        print()
-        print("HTTP serving statistics")
-        print("-----------------------")
-        print(server.metrics.render())
+        _print_stats("HTTP serving statistics", server.metrics)
         if store is not None:
-            print()
-            print("Model store statistics")
-            print("----------------------")
-            print(store.metrics.render())
+            _print_stats("Model store statistics", store.metrics)
     return 0
 
 
@@ -1287,10 +1255,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         registry.current().model.save(args.save)
         print(f"Model saved to {args.save}")
     if args.stats:
-        print()
-        print("Pipeline statistics")
-        print("-------------------")
-        print(pipeline.metrics.render())
+        _print_stats("Pipeline statistics", pipeline.metrics)
     return 0
 
 
@@ -1382,14 +1347,8 @@ def _cmd_watch_run(args: argparse.Namespace) -> int:
     daemon.notifier.close()
     write_status()
     if args.stats:
-        print()
-        print("Watch statistics")
-        print("----------------")
-        print(daemon.metrics.render())
-        print()
-        print("Pipeline statistics")
-        print("-------------------")
-        print(daemon.pipeline.metrics.render())
+        _print_stats("Watch statistics", daemon.metrics)
+        _print_stats("Pipeline statistics", daemon.pipeline.metrics)
     if args.format == "json":
         print(format_status(daemon.status(), "json"))
     else:

@@ -5,16 +5,12 @@ scan, a tiny solve -- so the library should be able to quantify its own
 hot path instead of taking Fig. 8 on faith.  This package holds the
 measurement substrate:
 
-- :mod:`repro.obs.metrics` -- scan/solve timers and counters
-  (:class:`~repro.obs.metrics.ScanMetrics`), attached to fitted models
-  as ``model.metrics_`` and rendered by the CLI ``--stats`` flag, plus
-  the serving-side counterpart
-  (:class:`~repro.obs.metrics.ServeMetrics`): operator-cache traffic,
-  pattern-group sizes and fill-latency percentiles for
-  :mod:`repro.serve`; and the ingestion-side counterpart
-  (:class:`~repro.obs.metrics.PipelineMetrics`): rows/batches
-  ingested, drift scores, refresh counts and latency, reservoir
-  occupancy for :mod:`repro.pipeline`.
+- :mod:`repro.obs.metrics` -- one counters-and-timings record per
+  subsystem (``ScanMetrics`` on ``model.metrics_``, ``PipelineMetrics``,
+  ``ServeMetrics``, ``ServeHttpMetrics``, ``StoreMetrics``,
+  ``WatchMetrics``), rendered by the CLI ``--stats`` flag.  Each field
+  declares its merge rule as metadata, and one shared base derives
+  merge and (de)serialization from it.
 - :mod:`repro.obs.tracing` -- span-based tracing of *where* the time
   went: a ``with span("scan.chunk", rows=...)`` context-manager API on
   the monotonic clock, a bounded in-memory buffer, and cross-process
@@ -23,9 +19,8 @@ measurement substrate:
   on, the CLI ``--trace <path>`` flag dumps the result.
 - :mod:`repro.obs.registry` -- a thread-safe
   :class:`~repro.obs.registry.MetricsRegistry` of counters, gauges,
-  and fixed-bucket histograms, with adapters that expose live
-  ``ScanMetrics`` / ``ServeMetrics`` / ``PipelineMetrics`` records as
-  scrape targets.
+  and fixed-bucket histograms; :func:`~repro.obs.registry.register_record`
+  exposes any live record as a scrape target.
 - :mod:`repro.obs.export` -- Prometheus text-format and JSON
   exporters over a registry, plus an optional dependency-free
   ``/metrics`` HTTP endpoint (CLI ``--metrics-port``).
@@ -44,6 +39,7 @@ from repro.obs.export import (
     to_prometheus,
 )
 from repro.obs.metrics import (
+    MetricsRecord,
     PipelineMetrics,
     ScanMetrics,
     ServeHttpMetrics,
@@ -59,6 +55,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     get_registry,
     register_pipeline_metrics,
+    register_record,
     register_scan_metrics,
     register_serve_http_metrics,
     register_serve_metrics,
@@ -83,6 +80,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HttpService",
+    "MetricsRecord",
     "MetricsRegistry",
     "MetricsServer",
     "PipelineMetrics",
@@ -101,6 +99,7 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "register_pipeline_metrics",
+    "register_record",
     "register_scan_metrics",
     "register_serve_http_metrics",
     "register_serve_metrics",

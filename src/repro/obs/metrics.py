@@ -1,11 +1,22 @@
-"""Scan/solve/serve instrumentation for the mining + serving pipeline.
+"""Metrics records for the fit, ingest, serve, store and watch layers.
 
-:class:`ScanMetrics` is the record the *fitting* side shares: the scan
-engine fills in the map/merge side (rows, blocks, chunks, merges,
-wall-clock), the model fills in the solve side, and the CLI renders the
-result for ``--stats``.  :class:`ServeMetrics` is its counterpart for
-the *query* side (:mod:`repro.serve`): operator-cache hit/miss/eviction
-counters, pattern-group sizes, and fill-latency percentiles.
+Six dataclasses, one per subsystem: :class:`ScanMetrics` (one fit's
+scan, merge and solve), :class:`PipelineMetrics` (continuous
+ingestion), :class:`ServeMetrics` (the batch filler and its operator
+cache), :class:`ServeHttpMetrics` (the HTTP tier and its coalescer),
+:class:`StoreMetrics` (the durable model store) and
+:class:`WatchMetrics` (the anomaly-watch daemon).  Each subsystem owns
+its record and writes the fields directly or through the record's
+``record_*`` mutators; the CLI renders it for ``--stats``.
+
+Every field declares its merge rule once, as field metadata, through
+one of the kind constructors below (:func:`counter`, :func:`gauge`,
+:func:`maxed`, :func:`samples`, ...).  :class:`MetricsRecord` derives
+``merge``, ``to_dict`` / ``from_dict``, ``to_json`` / ``from_json``
+and ``__str__`` from that metadata, and
+:func:`repro.obs.registry.register_record` derives the scrape from it.
+A field declared without a kind raises on first use.
+
 Everything is a plain counter -- no background threads, no sampling --
 so the overhead is one ``perf_counter`` call per stage and one integer
 add per block (or per batch).
@@ -13,14 +24,28 @@ add per block (or per batch).
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 __all__ = [
+    "MetricsRecord",
     "PipelineMetrics",
     "ScanMetrics",
     "ServeHttpMetrics",
@@ -30,18 +55,63 @@ __all__ = [
     "WatchMetrics",
 ]
 
+#: The field kinds; each constructor below states its kind's merge rule.
+KINDS = frozenset(
+    {"counter", "summed_gauge", "gauge", "maxed", "samples", "keyed", "extras"}
+)
 
-def _snapshot_value(value):
-    """Deep-copy container fields so ``to_dict`` is a true snapshot.
 
-    Returning live list/dict references would alias the record's
-    internals into the payload: a record rebuilt via
-    ``from_dict(to_dict())`` would then share (and, on ``merge``,
-    mutate) the original's containers -- double-counting in disguise.
+def counter(default: float) -> Any:
+    """A monotonic count or time: summed on merge, scraped as a counter."""
+    return field(default=default, metadata={"kind": "counter"})
+
+
+def summed_gauge(default: float) -> Any:
+    """Summed on merge but reset by its writer, so scraped as a gauge."""
+    return field(default=default, metadata={"kind": "summed_gauge"})
+
+
+def gauge(default: Union[float, str]) -> Any:
+    """One record's latest state: merge keeps the receiver's value."""
+    return field(default=default, metadata={"kind": "gauge"})
+
+
+def maxed(default: float) -> Any:
+    """A high-water mark: merge takes the max."""
+    return field(default=default, metadata={"kind": "maxed"})
+
+
+def samples(cap: Optional[int] = None) -> Any:
+    """A list that concatenates on merge, keeping its newest ``cap``."""
+    return field(default_factory=list, metadata={"kind": "samples", "cap": cap})
+
+
+def keyed() -> Any:
+    """A ``{key: count}`` dict: merge sums per key; scraped as a counter."""
+    return field(default_factory=dict, metadata={"kind": "keyed"})
+
+
+def extras_field() -> Any:
+    """Ad-hoc values: merge follows :func:`_merge_extras`."""
+    return field(default_factory=dict, metadata={"kind": "extras"})
+
+
+def field_kinds(record_type: Type[Any]) -> List[Tuple[str, str, Optional[int]]]:
+    """``(name, kind, cap)`` for each field of a record, in field order.
+
+    A field declared without a kind raises, so a new field cannot skip
+    deciding how it merges and exports.
     """
-    if isinstance(value, (list, dict)):
-        return copy.deepcopy(value)
-    return value
+    kinds = []
+    for field_def in fields(record_type):
+        kind = field_def.metadata.get("kind")
+        if kind not in KINDS:
+            raise TypeError(
+                f"{record_type.__name__}.{field_def.name} declares no "
+                f"metrics kind; declare it with counter(), gauge(), ..."
+            )
+        kinds.append((field_def.name, kind, field_def.metadata.get("cap")))
+    return kinds
 
 
 def _merge_extras(mine: dict, theirs: dict) -> None:
@@ -64,6 +134,157 @@ def _merge_extras(mine: dict, theirs: dict) -> None:
             and not isinstance(value, bool)
         ):
             mine[key] = current + value
+
+
+def _percentiles(
+    ordered: Sequence[float], quantiles: Sequence[float]
+) -> Tuple[float, ...]:
+    """Linearly interpolated ``quantiles`` of the ascending ``ordered``.
+
+    ``quantiles`` are fractions in [0, 1], checked first, so an empty
+    sample rejects a bad quantile as a full one does.  Zeros for an
+    empty sample.
+    """
+    for quantile in quantiles:
+        if not 0.0 <= quantile <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {quantile}")
+    if not ordered:
+        return tuple(0.0 for _ in quantiles)
+    result = []
+    for quantile in quantiles:
+        position = quantile * (len(ordered) - 1)
+        low = int(position)
+        high = min(low + 1, len(ordered) - 1)
+        weight = position - low
+        result.append(ordered[low] * (1.0 - weight) + ordered[high] * weight)
+    return tuple(result)
+
+
+#: Quantiles of the derived latency families.
+_QUANTILES = (0.5, 0.9, 0.99)
+
+
+def _by_quantile(values: Sequence[float]) -> Dict[str, float]:
+    return {str(quantile): value for quantile, value in zip(_QUANTILES, values)}
+
+
+@dataclass(frozen=True)
+class Derived:
+    """One scrape family computed from a record rather than stored in it.
+
+    ``value`` maps the live record to a number, or to
+    ``{quantile: value}`` for a quantile family; by default it reads
+    the record's attribute called ``name``.
+    """
+
+    name: str
+    help: str
+    value: Optional[Callable[[Any], Union[float, Dict[str, float]]]] = None
+    type: str = "gauge"
+
+
+R = TypeVar("R", bound="MetricsRecord")
+
+
+class MetricsRecord:
+    """Merge, snapshot and (de)serialization shared by every record.
+
+    Subclasses are dataclasses that declare each field through a kind
+    constructor; the methods here walk :func:`field_kinds`.  Records
+    written from several threads set a real ``_lock`` in
+    ``__post_init__``; the others keep the no-op default.
+    """
+
+    #: Metric-name prefix of the record's scrape families.
+    PREFIX = ""
+    #: Families computed at scrape time, after the per-field ones.
+    DERIVED: Tuple[Derived, ...] = ()
+    _lock: ContextManager[Any] = contextlib.nullcontext()
+    extras: Dict[str, Any]
+
+    def render(self) -> str:
+        """Human-readable multi-line summary (the ``--stats`` output)."""
+        raise NotImplementedError
+
+    def _render(self, lines: List[str]) -> str:
+        """Join ``lines`` plus one line per ``extras`` key."""
+        for key, value in sorted(self.extras.items()):
+            lines.append(f"{key:<13} {value}")
+        return "\n".join(lines)
+
+    def __str__(self) -> str:  # pragma: no cover - convenience alias
+        return self.render()
+
+    def merge(self: R, other: R) -> None:
+        """Fold another record into this one, each field by its kind.
+
+        ``other`` may be a *live* record another thread is still
+        recording into, so both locks are taken -- in a globally
+        consistent order (by ``id``) so two threads cross-merging the
+        same pair cannot deadlock.  Merging a record into itself folds
+        a snapshot (doubling its counters) rather than self-deadlocking.
+        """
+        if other is self:
+            other = self.from_dict(self.to_dict())
+        first, second = sorted((self, other), key=id)
+        with first._lock, second._lock:
+            for name, kind, cap in field_kinds(type(self)):
+                mine: Any = getattr(self, name)
+                theirs: Any = getattr(other, name)
+                if kind in ("counter", "summed_gauge"):
+                    setattr(self, name, mine + theirs)
+                elif kind == "maxed":
+                    setattr(self, name, max(mine, theirs))
+                elif kind == "samples":
+                    mine.extend(theirs)
+                    if cap is not None:
+                        del mine[:-cap]
+                elif kind == "keyed":
+                    for key, count in theirs.items():
+                        mine[key] = mine.get(key, 0) + count
+                elif kind == "extras":
+                    _merge_extras(mine, theirs)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-dict snapshot of every field (JSON-serializable).
+
+        Container fields are deep-copied.  Live list/dict references
+        would alias the record's internals into the payload: a record
+        rebuilt via ``from_dict(to_dict())`` would then share (and, on
+        ``merge``, mutate) the original's containers -- double-counting
+        in disguise.
+        """
+        with self._lock:
+            snapshot = {}
+            for name, _, _ in field_kinds(type(self)):
+                value = getattr(self, name)
+                if isinstance(value, (list, dict)):
+                    value = copy.deepcopy(value)
+                snapshot[name] = value
+            return snapshot
+
+    @classmethod
+    def from_dict(cls: Type[R], payload: Dict[str, Any]) -> R:
+        """Rebuild a record from a :meth:`to_dict` snapshot.
+
+        Unknown keys are rejected so stale snapshots fail loudly
+        rather than silently dropping counters.
+        """
+        known = {name for name, _, _ in field_kinds(cls)}
+        unknown = sorted(set(payload) - known)
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
+        build: Callable[..., R] = cls
+        return build(**payload)
+
+    def to_json(self) -> str:
+        """JSON rendering of :meth:`to_dict`."""
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls: Type[R], text: str) -> R:
+        """Inverse of :meth:`to_json`."""
+        return cls.from_dict(json.loads(text))
 
 
 class Stopwatch:
@@ -90,7 +311,7 @@ class Stopwatch:
 
 
 @dataclass
-class ScanMetrics:
+class ScanMetrics(MetricsRecord):
     """Counters and timings for one fit (scan + merge + solve).
 
     Attributes
@@ -152,29 +373,32 @@ class ScanMetrics:
         "start", "stop", "rows_lost", "bytes_lost", "error"}``.
     """
 
-    executor: str = "serial"
-    n_workers: int = 1
-    n_sources: int = 1
-    n_chunks: int = 1
-    n_blocks: int = 0
-    n_rows: int = 0
-    n_merges: int = 0
-    scan_seconds: float = 0.0
-    solve_seconds: float = 0.0
-    total_seconds: float = 0.0
-    n_faults: int = 0
-    n_retries: int = 0
-    n_timeouts: int = 0
-    n_quarantined: int = 0
-    rows_quarantined: int = 0
-    bytes_quarantined: int = 0
-    n_executor_downgrades: int = 0
-    n_chunks_resumed: int = 0
-    accumulate_dtype: str = "float64"
-    n_shm_handoffs: int = 0
-    n_pickled_handoffs: int = 0
-    quarantined: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    executor: str = gauge("serial")
+    n_workers: int = gauge(1)
+    n_sources: int = counter(1)
+    n_chunks: int = counter(1)
+    n_blocks: int = counter(0)
+    n_rows: int = counter(0)
+    n_merges: int = counter(0)
+    scan_seconds: float = counter(0.0)
+    solve_seconds: float = counter(0.0)
+    total_seconds: float = counter(0.0)
+    n_faults: int = counter(0)
+    n_retries: int = counter(0)
+    n_timeouts: int = counter(0)
+    n_quarantined: int = counter(0)
+    rows_quarantined: int = counter(0)
+    bytes_quarantined: int = counter(0)
+    n_executor_downgrades: int = counter(0)
+    n_chunks_resumed: int = counter(0)
+    accumulate_dtype: str = gauge("float64")
+    n_shm_handoffs: int = counter(0)
+    n_pickled_handoffs: int = counter(0)
+    quarantined: list = samples()
+    extras: dict = extras_field()
+
+    PREFIX = "repro_scan"
+    DERIVED = (Derived("rows_per_second", "ScanMetrics derived scan throughput."),)
 
     @property
     def rows_per_second(self) -> float:
@@ -182,58 +406,6 @@ class ScanMetrics:
         if self.scan_seconds <= 0.0:
             return 0.0
         return self.n_rows / self.scan_seconds
-
-    def merge(self, other: "ScanMetrics") -> None:
-        """Fold another metrics record into this one (for sub-scans)."""
-        self.n_sources += other.n_sources
-        self.n_chunks += other.n_chunks
-        self.n_blocks += other.n_blocks
-        self.n_rows += other.n_rows
-        self.n_merges += other.n_merges
-        self.scan_seconds += other.scan_seconds
-        self.solve_seconds += other.solve_seconds
-        self.total_seconds += other.total_seconds
-        self.n_faults += other.n_faults
-        self.n_retries += other.n_retries
-        self.n_timeouts += other.n_timeouts
-        self.n_quarantined += other.n_quarantined
-        self.rows_quarantined += other.rows_quarantined
-        self.bytes_quarantined += other.bytes_quarantined
-        self.n_executor_downgrades += other.n_executor_downgrades
-        self.n_chunks_resumed += other.n_chunks_resumed
-        self.n_shm_handoffs += other.n_shm_handoffs
-        self.n_pickled_handoffs += other.n_pickled_handoffs
-        self.quarantined.extend(other.quarantined)
-        _merge_extras(self.extras, other.extras)
-
-    def to_dict(self) -> dict:
-        """Plain-dict snapshot of every counter (JSON-serializable)."""
-        return {
-            field_def.name: _snapshot_value(getattr(self, field_def.name))
-            for field_def in fields(self)
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ScanMetrics":
-        """Rebuild a record from a :meth:`to_dict` snapshot.
-
-        Unknown keys are rejected so stale snapshots fail loudly
-        rather than silently dropping counters.
-        """
-        known = {field_def.name for field_def in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown ScanMetrics fields: {unknown}")
-        return cls(**payload)
-
-    def to_json(self) -> str:
-        """JSON rendering of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScanMetrics":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
 
     def render(self) -> str:
         """Human-readable multi-line summary (the ``--stats`` output)."""
@@ -258,16 +430,11 @@ class ScanMetrics:
             f"solve time    {self.solve_seconds:.4f} s",
             f"total time    {self.total_seconds:.4f} s",
         ]
-        for key, value in sorted(self.extras.items()):
-            lines.append(f"{key:<13} {value}")
-        return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience alias
-        return self.render()
+        return self._render(lines)
 
 
 @dataclass
-class PipelineMetrics:
+class PipelineMetrics(MetricsRecord):
     """Counters and timings for one continuous-ingestion pipeline.
 
     One record instruments one
@@ -327,30 +494,38 @@ class PipelineMetrics:
         Wall-clock of the most recent refit-and-publish.
     """
 
-    rows_ingested: int = 0
-    n_batches: int = 0
-    n_empty_polls: int = 0
-    n_blocks_folded: int = 0
-    n_source_rotations: int = 0
-    n_source_truncations: int = 0
-    n_rows_skipped: int = 0
-    n_rows_diverted: int = 0
-    n_drift_evaluations: int = 0
-    n_refreshes: int = 0
-    refresh_reasons: dict = field(default_factory=dict)
-    last_refresh_reason: str = ""
-    last_version: int = 0
-    rows_since_refresh: int = 0
-    last_guessing_error: float = 0.0
-    baseline_guessing_error: float = 0.0
-    last_angle_degrees: float = 0.0
-    reservoir_rows: int = 0
-    reservoir_capacity: int = 0
-    ingest_seconds: float = 0.0
-    drift_seconds: float = 0.0
-    refresh_seconds: float = 0.0
-    last_refresh_seconds: float = 0.0
-    extras: dict = field(default_factory=dict)
+    rows_ingested: int = counter(0)
+    n_batches: int = counter(0)
+    n_empty_polls: int = counter(0)
+    n_blocks_folded: int = counter(0)
+    n_source_rotations: int = counter(0)
+    n_source_truncations: int = counter(0)
+    n_rows_skipped: int = counter(0)
+    n_rows_diverted: int = counter(0)
+    n_drift_evaluations: int = counter(0)
+    n_refreshes: int = counter(0)
+    refresh_reasons: dict = keyed()
+    last_refresh_reason: str = gauge("")
+    last_version: int = gauge(0)
+    rows_since_refresh: int = summed_gauge(0)
+    last_guessing_error: float = gauge(0.0)
+    baseline_guessing_error: float = gauge(0.0)
+    last_angle_degrees: float = gauge(0.0)
+    reservoir_rows: int = gauge(0)
+    reservoir_capacity: int = gauge(0)
+    ingest_seconds: float = counter(0.0)
+    drift_seconds: float = counter(0.0)
+    refresh_seconds: float = counter(0.0)
+    last_refresh_seconds: float = gauge(0.0)
+    extras: dict = extras_field()
+
+    PREFIX = "repro_pipeline"
+    DERIVED = (
+        Derived("rows_per_second", "PipelineMetrics derived ingest throughput."),
+        Derived(
+            "reservoir_occupancy", "PipelineMetrics derived reservoir fill fraction."
+        ),
+    )
 
     @property
     def rows_per_second(self) -> float:
@@ -377,61 +552,6 @@ class PipelineMetrics:
         self.refresh_seconds += float(seconds)
         self.last_refresh_seconds = float(seconds)
         self.rows_since_refresh = 0
-
-    def merge(self, other: "PipelineMetrics") -> None:
-        """Fold another record into this one (multi-pipeline rollup).
-
-        Counters sum; the ``last_*`` / reservoir gauges describe *one*
-        pipeline's latest state, so the receiver's values are kept.
-        """
-        self.rows_ingested += other.rows_ingested
-        self.n_batches += other.n_batches
-        self.n_empty_polls += other.n_empty_polls
-        self.n_blocks_folded += other.n_blocks_folded
-        self.n_source_rotations += other.n_source_rotations
-        self.n_source_truncations += other.n_source_truncations
-        self.n_rows_skipped += other.n_rows_skipped
-        self.n_rows_diverted += other.n_rows_diverted
-        self.n_drift_evaluations += other.n_drift_evaluations
-        self.n_refreshes += other.n_refreshes
-        for reason, count in other.refresh_reasons.items():
-            self.refresh_reasons[reason] = (
-                self.refresh_reasons.get(reason, 0) + count
-            )
-        self.rows_since_refresh += other.rows_since_refresh
-        self.ingest_seconds += other.ingest_seconds
-        self.drift_seconds += other.drift_seconds
-        self.refresh_seconds += other.refresh_seconds
-        _merge_extras(self.extras, other.extras)
-
-    def to_dict(self) -> dict:
-        """Plain-dict snapshot of every counter (JSON-serializable)."""
-        return {
-            field_def.name: _snapshot_value(getattr(self, field_def.name))
-            for field_def in fields(self)
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PipelineMetrics":
-        """Rebuild a record from a :meth:`to_dict` snapshot.
-
-        Unknown keys are rejected so stale snapshots fail loudly
-        rather than silently dropping counters.
-        """
-        known = {field_def.name for field_def in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown PipelineMetrics fields: {unknown}")
-        return cls(**payload)
-
-    def to_json(self) -> str:
-        """JSON rendering of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PipelineMetrics":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
 
     def render(self) -> str:
         """Human-readable multi-line summary (the ``--stats`` output)."""
@@ -463,12 +583,7 @@ class PipelineMetrics:
             f"refresh time  {self.refresh_seconds:.4f} s  "
             f"(last {self.last_refresh_seconds:.4f} s)",
         ]
-        for key, value in sorted(self.extras.items()):
-            lines.append(f"{key:<13} {value}")
-        return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience alias
-        return self.render()
+        return self._render(lines)
 
 
 #: Cap on retained latency / group-size samples; beyond it the oldest
@@ -477,7 +592,7 @@ _MAX_SAMPLES = 4096
 
 
 @dataclass
-class ServeMetrics:
+class ServeMetrics(MetricsRecord):
     """Counters and timings for the reconstruction serving layer.
 
     One record instruments one :class:`repro.serve.BatchFiller` (its
@@ -517,21 +632,31 @@ class ServeMetrics:
         of :meth:`latency_percentiles`.
     """
 
-    n_batches: int = 0
-    n_rows: int = 0
-    n_rows_filled: int = 0
-    n_rows_no_holes: int = 0
-    n_rows_all_holes: int = 0
-    n_groups: int = 0
-    n_holes_filled: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    n_publishes: int = 0
-    fill_seconds: float = 0.0
-    group_sizes: list = field(default_factory=list)
-    batch_latencies: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    n_batches: int = counter(0)
+    n_rows: int = counter(0)
+    n_rows_filled: int = counter(0)
+    n_rows_no_holes: int = counter(0)
+    n_rows_all_holes: int = counter(0)
+    n_groups: int = counter(0)
+    n_holes_filled: int = counter(0)
+    cache_hits: int = counter(0)
+    cache_misses: int = counter(0)
+    cache_evictions: int = counter(0)
+    n_publishes: int = counter(0)
+    fill_seconds: float = counter(0.0)
+    group_sizes: list = samples(_MAX_SAMPLES)
+    batch_latencies: list = samples(_MAX_SAMPLES)
+    extras: dict = extras_field()
+
+    PREFIX = "repro_serve"
+    DERIVED = (
+        Derived(
+            "batch_latency_seconds",
+            "ServeMetrics derived batch-latency percentiles.",
+            lambda m: _by_quantile(m.latency_percentiles(_QUANTILES)),
+        ),
+        Derived("cache_hit_rate", "ServeMetrics derived cache hit rate."),
+    )
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -610,82 +735,8 @@ class ServeMetrics:
         the first batch.
         """
         with self._lock:
-            sample = sorted(self.batch_latencies)
-        if not sample:
-            return tuple(0.0 for _ in quantiles)
-        result = []
-        for quantile in quantiles:
-            if not 0.0 <= quantile <= 1.0:
-                raise ValueError(f"quantile must be in [0, 1], got {quantile}")
-            position = quantile * (len(sample) - 1)
-            low = int(position)
-            high = min(low + 1, len(sample) - 1)
-            weight = position - low
-            result.append(sample[low] * (1.0 - weight) + sample[high] * weight)
-        return tuple(result)
-
-    # -- (de)serialization -------------------------------------------------
-
-    def merge(self, other: "ServeMetrics") -> None:
-        """Fold another record into this one (multi-filler aggregation).
-
-        ``other`` may be a *live* record another thread is still
-        recording into, so both locks are taken -- in a globally
-        consistent order (by ``id``) so two threads cross-merging the
-        same pair cannot deadlock.  Merging a record into itself folds
-        a snapshot (doubling its counters) rather than self-deadlocking.
-        """
-        if other is self:
-            other = ServeMetrics.from_dict(self.to_dict())
-        first, second = sorted((self, other), key=id)
-        with first._lock, second._lock:
-            self.n_batches += other.n_batches
-            self.n_rows += other.n_rows
-            self.n_rows_filled += other.n_rows_filled
-            self.n_rows_no_holes += other.n_rows_no_holes
-            self.n_rows_all_holes += other.n_rows_all_holes
-            self.n_groups += other.n_groups
-            self.n_holes_filled += other.n_holes_filled
-            self.cache_hits += other.cache_hits
-            self.cache_misses += other.cache_misses
-            self.cache_evictions += other.cache_evictions
-            self.n_publishes += other.n_publishes
-            self.fill_seconds += other.fill_seconds
-            self.group_sizes.extend(other.group_sizes)
-            del self.group_sizes[:-_MAX_SAMPLES]
-            self.batch_latencies.extend(other.batch_latencies)
-            del self.batch_latencies[:-_MAX_SAMPLES]
-            _merge_extras(self.extras, other.extras)
-
-    def to_dict(self) -> dict:
-        """Plain-dict snapshot of every counter (JSON-serializable)."""
-        with self._lock:
-            return {
-                field_def.name: _snapshot_value(getattr(self, field_def.name))
-                for field_def in fields(self)
-            }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServeMetrics":
-        """Rebuild a record from a :meth:`to_dict` snapshot.
-
-        Unknown keys are rejected so stale snapshots fail loudly
-        rather than silently dropping counters.
-        """
-        known = {field_def.name for field_def in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown ServeMetrics fields: {unknown}")
-        return cls(**payload)
-
-    def to_json(self) -> str:
-        """JSON rendering of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServeMetrics":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
+            ordered = sorted(self.batch_latencies)
+        return _percentiles(ordered, quantiles)
 
     def render(self) -> str:
         """Human-readable multi-line summary (the ``--stats`` output)."""
@@ -708,16 +759,11 @@ class ServeMetrics:
             f"p99 {p99 * 1e3:.3f} ms",
             f"fill time     {self.fill_seconds:.4f} s  ({throughput_text})",
         ]
-        for key, value in sorted(self.extras.items()):
-            lines.append(f"{key:<13} {value}")
-        return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience alias
-        return self.render()
+        return self._render(lines)
 
 
 @dataclass
-class ServeHttpMetrics:
+class ServeHttpMetrics(MetricsRecord):
     """Counters and timings for the HTTP serving tier.
 
     One record instruments one :class:`repro.serve.http.HttpApiServer`
@@ -763,23 +809,41 @@ class ServeHttpMetrics:
         basis of :meth:`coalesce_wait_percentiles`.
     """
 
-    n_requests: int = 0
-    n_fill_requests: int = 0
-    n_whatif_requests: int = 0
-    n_outlier_requests: int = 0
-    n_recommend_requests: int = 0
-    n_flushes: int = 0
-    n_rows_coalesced: int = 0
-    n_shed_queue_full: int = 0
-    n_expired: int = 0
-    n_errors: int = 0
-    n_bad_requests: int = 0
-    coalesce_seconds: float = 0.0
-    queue_depth: int = 0
-    queue_depth_peak: int = 0
-    flush_sizes: list = field(default_factory=list)
-    coalesce_waits: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    n_requests: int = counter(0)
+    n_fill_requests: int = counter(0)
+    n_whatif_requests: int = counter(0)
+    n_outlier_requests: int = counter(0)
+    n_recommend_requests: int = counter(0)
+    n_flushes: int = counter(0)
+    n_rows_coalesced: int = counter(0)
+    n_shed_queue_full: int = counter(0)
+    n_expired: int = counter(0)
+    n_errors: int = counter(0)
+    n_bad_requests: int = counter(0)
+    coalesce_seconds: float = counter(0.0)
+    queue_depth: int = gauge(0)
+    queue_depth_peak: int = maxed(0)
+    flush_sizes: list = samples(_MAX_SAMPLES)
+    coalesce_waits: list = samples(_MAX_SAMPLES)
+    extras: dict = extras_field()
+
+    PREFIX = "repro_serve_http"
+    DERIVED = (
+        Derived(
+            "coalesce_wait_seconds",
+            "ServeHttpMetrics derived queue-wait percentiles.",
+            lambda m: _by_quantile(m.coalesce_wait_percentiles(_QUANTILES)),
+        ),
+        Derived(
+            "rows_per_flush", "ServeHttpMetrics derived mean coalesced batch size."
+        ),
+        Derived(
+            "rejected_total",
+            "ServeHttpMetrics derived shed + expired request count.",
+            lambda m: m.n_rejected,
+            type="counter",
+        ),
+    )
 
     _VERB_COUNTERS = {
         "fill": "n_fill_requests",
@@ -876,89 +940,8 @@ class ServeHttpMetrics:
         the first flush.
         """
         with self._lock:
-            sample = sorted(self.coalesce_waits)
-        if not sample:
-            return tuple(0.0 for _ in quantiles)
-        result = []
-        for quantile in quantiles:
-            if not 0.0 <= quantile <= 1.0:
-                raise ValueError(
-                    f"quantile must be in [0, 1], got {quantile}"
-                )
-            position = quantile * (len(sample) - 1)
-            low = int(position)
-            high = min(low + 1, len(sample) - 1)
-            weight = position - low
-            result.append(
-                sample[low] * (1.0 - weight) + sample[high] * weight
-            )
-        return tuple(result)
-
-    # -- (de)serialization -------------------------------------------------
-
-    def merge(self, other: "ServeHttpMetrics") -> None:
-        """Fold another record into this one (multi-server aggregation).
-
-        Same locking discipline as :meth:`ServeMetrics.merge`: both
-        locks taken in a globally consistent order so cross-merges
-        cannot deadlock, and self-merge folds a snapshot.  Counters
-        sum; ``queue_depth`` keeps the receiver's reading (it is a
-        point-in-time gauge); ``queue_depth_peak`` takes the max.
-        """
-        if other is self:
-            other = ServeHttpMetrics.from_dict(self.to_dict())
-        first, second = sorted((self, other), key=id)
-        with first._lock, second._lock:
-            self.n_requests += other.n_requests
-            self.n_fill_requests += other.n_fill_requests
-            self.n_whatif_requests += other.n_whatif_requests
-            self.n_outlier_requests += other.n_outlier_requests
-            self.n_recommend_requests += other.n_recommend_requests
-            self.n_flushes += other.n_flushes
-            self.n_rows_coalesced += other.n_rows_coalesced
-            self.n_shed_queue_full += other.n_shed_queue_full
-            self.n_expired += other.n_expired
-            self.n_errors += other.n_errors
-            self.n_bad_requests += other.n_bad_requests
-            self.coalesce_seconds += other.coalesce_seconds
-            self.queue_depth_peak = max(
-                self.queue_depth_peak, other.queue_depth_peak
-            )
-            self.flush_sizes.extend(other.flush_sizes)
-            del self.flush_sizes[:-_MAX_SAMPLES]
-            self.coalesce_waits.extend(other.coalesce_waits)
-            del self.coalesce_waits[:-_MAX_SAMPLES]
-            _merge_extras(self.extras, other.extras)
-
-    def to_dict(self) -> dict:
-        """Plain-dict snapshot of every counter (JSON-serializable)."""
-        with self._lock:
-            return {
-                field_def.name: _snapshot_value(getattr(self, field_def.name))
-                for field_def in fields(self)
-            }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServeHttpMetrics":
-        """Rebuild a record from a :meth:`to_dict` snapshot.
-
-        Unknown keys are rejected so stale snapshots fail loudly
-        rather than silently dropping counters.
-        """
-        known = {field_def.name for field_def in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown ServeHttpMetrics fields: {unknown}")
-        return cls(**payload)
-
-    def to_json(self) -> str:
-        """JSON rendering of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServeHttpMetrics":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
+            ordered = sorted(self.coalesce_waits)
+        return _percentiles(ordered, quantiles)
 
     def render(self) -> str:
         """Human-readable multi-line summary (the ``--stats`` output)."""
@@ -983,16 +966,11 @@ class ServeHttpMetrics:
             f"p99 {p99 * 1e3:.3f} ms  "
             f"(total {self.coalesce_seconds:.4f} s)",
         ]
-        for key, value in sorted(self.extras.items()):
-            lines.append(f"{key:<13} {value}")
-        return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience alias
-        return self.render()
+        return self._render(lines)
 
 
 @dataclass
-class StoreMetrics:
+class StoreMetrics(MetricsRecord):
     """Counters and timings for the durable model store (:mod:`repro.store`).
 
     One record instruments one :class:`~repro.store.ModelStore` across
@@ -1027,23 +1005,26 @@ class StoreMetrics:
         Wall-clock totals inside publish and hydrate.
     """
 
-    n_publishes: int = 0
-    publish_bytes: int = 0
-    n_loads: int = 0
-    n_cache_hits: int = 0
-    n_cache_misses: int = 0
-    n_cache_evictions: int = 0
-    n_recoveries: int = 0
-    n_quarantined: int = 0
-    n_manifest_rebuilds: int = 0
-    n_gc_removed: int = 0
-    gc_reclaimed_bytes: int = 0
-    n_sync_checks: int = 0
-    n_sync_swaps: int = 0
-    n_lock_breaks: int = 0
-    publish_seconds: float = 0.0
-    load_seconds: float = 0.0
-    extras: dict = field(default_factory=dict)
+    n_publishes: int = counter(0)
+    publish_bytes: int = counter(0)
+    n_loads: int = counter(0)
+    n_cache_hits: int = counter(0)
+    n_cache_misses: int = counter(0)
+    n_cache_evictions: int = counter(0)
+    n_recoveries: int = counter(0)
+    n_quarantined: int = counter(0)
+    n_manifest_rebuilds: int = counter(0)
+    n_gc_removed: int = counter(0)
+    gc_reclaimed_bytes: int = counter(0)
+    n_sync_checks: int = counter(0)
+    n_sync_swaps: int = counter(0)
+    n_lock_breaks: int = counter(0)
+    publish_seconds: float = counter(0.0)
+    load_seconds: float = counter(0.0)
+    extras: dict = extras_field()
+
+    PREFIX = "repro_store"
+    DERIVED = (Derived("cache_hit_rate", "StoreMetrics derived warm-cache hit rate."),)
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -1121,69 +1102,6 @@ class StoreMetrics:
             return 0.0
         return self.n_cache_hits / lookups
 
-    # -- (de)serialization -------------------------------------------------
-
-    def merge(self, other: "StoreMetrics") -> None:
-        """Fold another record into this one (multi-store aggregation).
-
-        ``other`` may be a *live* record another thread is still
-        recording into, so both locks are taken -- in a globally
-        consistent order (by ``id``) so two threads cross-merging the
-        same pair cannot deadlock.  Merging a record into itself folds
-        a snapshot (doubling its counters) rather than self-deadlocking.
-        """
-        if other is self:
-            other = StoreMetrics.from_dict(self.to_dict())
-        first, second = sorted((self, other), key=id)
-        with first._lock, second._lock:
-            self.n_publishes += other.n_publishes
-            self.publish_bytes += other.publish_bytes
-            self.n_loads += other.n_loads
-            self.n_cache_hits += other.n_cache_hits
-            self.n_cache_misses += other.n_cache_misses
-            self.n_cache_evictions += other.n_cache_evictions
-            self.n_recoveries += other.n_recoveries
-            self.n_quarantined += other.n_quarantined
-            self.n_manifest_rebuilds += other.n_manifest_rebuilds
-            self.n_gc_removed += other.n_gc_removed
-            self.gc_reclaimed_bytes += other.gc_reclaimed_bytes
-            self.n_sync_checks += other.n_sync_checks
-            self.n_sync_swaps += other.n_sync_swaps
-            self.n_lock_breaks += other.n_lock_breaks
-            self.publish_seconds += other.publish_seconds
-            self.load_seconds += other.load_seconds
-            _merge_extras(self.extras, other.extras)
-
-    def to_dict(self) -> dict:
-        """Plain-dict snapshot of every counter (JSON-serializable)."""
-        with self._lock:
-            return {
-                field_def.name: _snapshot_value(getattr(self, field_def.name))
-                for field_def in fields(self)
-            }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "StoreMetrics":
-        """Rebuild a record from a :meth:`to_dict` snapshot.
-
-        Unknown keys are rejected so stale snapshots fail loudly
-        rather than silently dropping counters.
-        """
-        known = {field_def.name for field_def in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown StoreMetrics fields: {unknown}")
-        return cls(**payload)
-
-    def to_json(self) -> str:
-        """JSON rendering of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StoreMetrics":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
-
     def render(self) -> str:
         """Human-readable multi-line summary (the ``--stats`` output)."""
         lines = [
@@ -1205,16 +1123,11 @@ class StoreMetrics:
             f"{self.n_sync_swaps} hot-swap(s), "
             f"{self.n_lock_breaks} stale lock(s) broken",
         ]
-        for key, value in sorted(self.extras.items()):
-            lines.append(f"{key:<13} {value}")
-        return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience alias
-        return self.render()
+        return self._render(lines)
 
 
 @dataclass
-class WatchMetrics:
+class WatchMetrics(MetricsRecord):
     """Counters and timings for one anomaly-watch daemon.
 
     One record instruments one :class:`repro.watch.WatchDaemon`.  The
@@ -1265,31 +1178,40 @@ class WatchMetrics:
         Cumulative wall-clock in each routing stage.
     """
 
-    rows_seen: int = 0
-    rows_scored: int = 0
-    rows_unscored: int = 0
-    rows_passed: int = 0
-    rows_cleaned: int = 0
-    rows_quarantined: int = 0
-    n_batches_tapped: int = 0
-    n_bursts: int = 0
-    n_calibration_resets: int = 0
-    n_events: int = 0
-    n_sink_failures: int = 0
-    events_by_kind: dict = field(default_factory=dict)
-    last_event_kind: str = ""
-    last_z_score: float = 0.0
-    last_residual: float = 0.0
-    calibration_rows: int = 0
-    calibration_mean: float = 0.0
-    calibration_std: float = 0.0
-    model_version: int = 0
-    quarantine_rows: int = 0
-    quarantine_bytes: int = 0
-    score_seconds: float = 0.0
-    clean_seconds: float = 0.0
-    quarantine_seconds: float = 0.0
-    extras: dict = field(default_factory=dict)
+    rows_seen: int = counter(0)
+    rows_scored: int = counter(0)
+    rows_unscored: int = counter(0)
+    rows_passed: int = counter(0)
+    rows_cleaned: int = counter(0)
+    rows_quarantined: int = counter(0)
+    n_batches_tapped: int = counter(0)
+    n_bursts: int = counter(0)
+    n_calibration_resets: int = counter(0)
+    n_events: int = counter(0)
+    n_sink_failures: int = counter(0)
+    events_by_kind: dict = keyed()
+    last_event_kind: str = gauge("")
+    last_z_score: float = gauge(0.0)
+    last_residual: float = gauge(0.0)
+    calibration_rows: int = gauge(0)
+    calibration_mean: float = gauge(0.0)
+    calibration_std: float = gauge(0.0)
+    model_version: int = gauge(0)
+    quarantine_rows: int = gauge(0)
+    quarantine_bytes: int = gauge(0)
+    score_seconds: float = counter(0.0)
+    clean_seconds: float = counter(0.0)
+    quarantine_seconds: float = counter(0.0)
+    extras: dict = extras_field()
+
+    PREFIX = "repro_watch"
+    DERIVED = (
+        Derived(
+            "quarantine_fraction",
+            "WatchMetrics derived quarantined share of scored rows.",
+        ),
+        Derived("rows_per_second", "WatchMetrics derived scoring throughput."),
+    )
 
     @property
     def rows_per_second(self) -> float:
@@ -1310,60 +1232,6 @@ class WatchMetrics:
         self.n_events += 1
         self.events_by_kind[kind] = self.events_by_kind.get(kind, 0) + 1
         self.last_event_kind = kind
-
-    def merge(self, other: "WatchMetrics") -> None:
-        """Fold another record into this one (multi-daemon rollup).
-
-        Counters sum; the ``last_*`` / calibration / quarantine gauges
-        describe *one* daemon's latest state, so the receiver's values
-        are kept.
-        """
-        self.rows_seen += other.rows_seen
-        self.rows_scored += other.rows_scored
-        self.rows_unscored += other.rows_unscored
-        self.rows_passed += other.rows_passed
-        self.rows_cleaned += other.rows_cleaned
-        self.rows_quarantined += other.rows_quarantined
-        self.n_batches_tapped += other.n_batches_tapped
-        self.n_bursts += other.n_bursts
-        self.n_calibration_resets += other.n_calibration_resets
-        self.n_events += other.n_events
-        self.n_sink_failures += other.n_sink_failures
-        for kind, count in other.events_by_kind.items():
-            self.events_by_kind[kind] = self.events_by_kind.get(kind, 0) + count
-        self.score_seconds += other.score_seconds
-        self.clean_seconds += other.clean_seconds
-        self.quarantine_seconds += other.quarantine_seconds
-        _merge_extras(self.extras, other.extras)
-
-    def to_dict(self) -> dict:
-        """Plain-dict snapshot of every counter (JSON-serializable)."""
-        return {
-            field_def.name: _snapshot_value(getattr(self, field_def.name))
-            for field_def in fields(self)
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WatchMetrics":
-        """Rebuild a record from a :meth:`to_dict` snapshot.
-
-        Unknown keys are rejected so stale snapshots fail loudly
-        rather than silently dropping counters.
-        """
-        known = {field_def.name for field_def in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown WatchMetrics fields: {unknown}")
-        return cls(**payload)
-
-    def to_json(self) -> str:
-        """JSON rendering of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WatchMetrics":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
 
     def render(self) -> str:
         """Human-readable multi-line summary (the ``--stats`` output)."""
@@ -1396,9 +1264,4 @@ class WatchMetrics:
             f"events        {self.n_events} published "
             f"({self.n_sink_failures} sink failure(s)): {kinds}",
         ]
-        for key, value in sorted(self.extras.items()):
-            lines.append(f"{key:<13} {value}")
-        return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience alias
-        return self.render()
+        return self._render(lines)

@@ -1,24 +1,24 @@
 """A thread-safe metrics registry: counters, gauges, histograms.
 
-The three dataclasses in :mod:`repro.obs.metrics` are *records*: each
-subsystem owns one and mutates its fields directly.  That is fine for
-``--stats`` dumps but gives a monitoring system nothing to scrape.
+The six records in :mod:`repro.obs.metrics` are plain dataclasses:
+each subsystem owns one and mutates its fields directly.  That is fine
+for ``--stats`` dumps but gives a monitoring system nothing to scrape.
 This module adds the missing indirection: a
 :class:`MetricsRegistry` holding named instruments --
 :class:`Counter`, :class:`Gauge`, and fixed-bucket
 :class:`Histogram` -- plus *collector* callbacks sampled lazily at
 :meth:`MetricsRegistry.collect` time.
 
-The existing metrics records plug in through the adapter functions
-(:func:`register_scan_metrics`, :func:`register_serve_metrics`,
-:func:`register_pipeline_metrics`): each registers a collector that
-snapshots the record's ``to_dict()`` on every scrape and maps **every
-field** to at least one sample -- numeric fields become gauges,
-string fields become ``*_info`` gauges with the value as a label,
-dict fields fan out one sample per key, and bounded sample lists
-export their retained length (plus derived percentiles for serve
-latencies).  Nothing about the records changes; they keep being the
-single writer-side source of truth.
+:func:`register_record` plugs any record in (the typed
+``register_*_metrics`` functions are thin wrappers that also check the
+record's type).  It registers a collector that snapshots the record's
+``to_dict()`` on every scrape and maps **every field** to at least one
+sample, as the field's declared kind says: counters scrape as
+counters, other numbers as gauges, string fields as ``*_info`` gauges
+with the value as a label, dict fields fan out one sample per key, and
+bounded sample lists export their retained length.  The record's
+``DERIVED`` families (throughput, hit rates, latency quantiles) follow.
+The records stay the single writer-side source of truth.
 
 Exporters (Prometheus text format, JSON, the ``/metrics`` HTTP
 endpoint) live in :mod:`repro.obs.export` and consume
@@ -44,17 +44,20 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    Optional,
     Sequence,
     Tuple,
 )
 
 from .metrics import (
+    MetricsRecord,
     PipelineMetrics,
     ScanMetrics,
     ServeHttpMetrics,
     ServeMetrics,
     StoreMetrics,
     WatchMetrics,
+    field_kinds,
 )
 
 __all__ = [
@@ -67,6 +70,7 @@ __all__ = [
     "Sample",
     "get_registry",
     "register_pipeline_metrics",
+    "register_record",
     "register_scan_metrics",
     "register_serve_http_metrics",
     "register_serve_metrics",
@@ -394,7 +398,7 @@ def get_registry() -> MetricsRegistry:
     return _GLOBAL
 
 
-# -- adapters for the existing metrics records ----------------------------
+# -- metrics records as scrape targets -------------------------------------
 
 
 def _sanitize(token: str) -> str:
@@ -404,35 +408,60 @@ def _sanitize(token: str) -> str:
     return cleaned
 
 
-def _record_families(
-    record: Any, prefix: str, help_prefix: str
+def _dict_families(
+    metric: str, kind: str, help_text: str, value: Dict[str, Any]
 ) -> List[MetricFamily]:
-    """Map every dataclass field of a metrics record to >= 1 sample.
+    """One sample per numeric key, plus an ``_info`` family for the rest."""
+    samples: List[Sample] = []
+    info_samples: List[Sample] = []
+    for key in sorted(value):
+        entry = value[key]
+        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+            samples.append(Sample((("key", str(key)),), float(entry)))
+        else:
+            info_samples.append(
+                Sample((("key", str(key)), ("value", str(entry))), 1.0)
+            )
+    if not samples and not info_samples:
+        # An empty dict still exports one zero sample, so the field
+        # never vanishes from the scrape.
+        samples.append(Sample((), 0.0))
+    families = [MetricFamily(metric, kind, help_text, tuple(samples))]
+    if info_samples:
+        families.append(
+            MetricFamily(f"{metric}_info", "gauge", help_text, tuple(info_samples))
+        )
+    return families
 
-    This is the guarantee the exporters lean on: iterate
-    ``dataclasses.fields(record)`` and emit something for each, so a
-    field added to a record can never silently vanish from the scrape.
+
+def _record_families(record: MetricsRecord, prefix: str) -> List[MetricFamily]:
+    """Map every field of a metrics record to >= 1 sample, then add the
+    record's derived families.
+
+    This is the guarantee the exporters lean on: iterate the record's
+    fields and emit something for each, so a field added to a record
+    can never silently vanish from the scrape.  The field's kind picks
+    the family type: ``counter`` and ``keyed`` fields scrape as
+    counters, everything else as gauges.
     """
     snapshot = record.to_dict()
     families: List[MetricFamily] = []
-    for field_def in dataclasses.fields(record):
-        name = field_def.name
+    for name, kind, _ in field_kinds(type(record)):
         value = snapshot[name]
         metric = f"{prefix}_{_sanitize(name)}"
-        help_text = f"{help_prefix} field {name!r}."
-        if isinstance(value, bool):
+        help_text = f"{type(record).__name__} field {name!r}."
+        family_type = "counter" if kind in ("counter", "keyed") else "gauge"
+        if kind == "samples":
             families.append(
                 MetricFamily(
-                    metric, "gauge", help_text,
-                    (Sample((), 1.0 if value else 0.0),),
+                    f"{metric}_retained",
+                    "gauge",
+                    help_text + " Retained sample count.",
+                    (Sample((), float(len(value))),),
                 )
             )
-        elif isinstance(value, (int, float)):
-            families.append(
-                MetricFamily(
-                    metric, "gauge", help_text, (Sample((), float(value)),)
-                )
-            )
+        elif kind in ("keyed", "extras"):
+            families.extend(_dict_families(metric, family_type, help_text, value))
         elif isinstance(value, str):
             families.append(
                 MetricFamily(
@@ -442,274 +471,120 @@ def _record_families(
                     (Sample((("value", value),), 1.0),),
                 )
             )
-        elif isinstance(value, dict):
-            samples: List[Sample] = []
-            info_samples: List[Sample] = []
-            for key in sorted(value):
-                entry = value[key]
-                if isinstance(entry, (int, float)) and not isinstance(
-                    entry, bool
-                ):
-                    samples.append(Sample((("key", str(key)),), float(entry)))
-                else:
-                    info_samples.append(
-                        Sample(
-                            (("key", str(key)), ("value", str(entry))), 1.0
-                        )
-                    )
-            if not samples and not info_samples:
-                # An empty dict still exports one zero sample, so the
-                # field never vanishes from the scrape.
-                samples.append(Sample((), 0.0))
-            families.append(
-                MetricFamily(metric, "gauge", help_text, tuple(samples))
-            )
-            if info_samples:
-                families.append(
-                    MetricFamily(
-                        f"{metric}_info",
-                        "gauge",
-                        help_text,
-                        tuple(info_samples),
-                    )
-                )
-        elif isinstance(value, (list, tuple)):
+        else:
             families.append(
                 MetricFamily(
-                    f"{metric}_retained",
-                    "gauge",
-                    help_text + " Retained sample count.",
-                    (Sample((), float(len(value))),),
+                    metric, family_type, help_text, (Sample((), float(value)),)
                 )
             )
-        else:  # pragma: no cover - records hold only the types above
-            families.append(
-                MetricFamily(
-                    f"{metric}_info",
-                    "gauge",
-                    help_text,
-                    (Sample((("value", str(value)),), 1.0),),
-                )
+    for derived in record.DERIVED:
+        reading = (
+            getattr(record, derived.name)
+            if derived.value is None
+            else derived.value(record)
+        )
+        if isinstance(reading, dict):
+            derived_samples = tuple(
+                Sample((("quantile", quantile),), value)
+                for quantile, value in reading.items()
             )
+        else:
+            derived_samples = (Sample((), float(reading)),)
+        families.append(
+            MetricFamily(
+                f"{prefix}_{derived.name}",
+                derived.type,
+                derived.help,
+                derived_samples,
+            )
+        )
     return families
 
 
-def _require_record(metrics: Any, expected: type) -> None:
-    """Reject a wrong (or absent) record at registration time.
+def _register(
+    registry: MetricsRegistry, record: Any, expected: type, prefix: Optional[str]
+) -> Collector:
+    """Register ``record`` after checking it is a live ``expected``.
 
     Collectors run inside every scrape -- including the HTTP handler
     thread -- so a bad registration must fail here, not there.  The
     common trap: a *loaded* model carries ``metrics_ = None`` (only a
     fit produces scan telemetry).
     """
-    if not isinstance(metrics, expected):
+    if not isinstance(record, expected):
         raise TypeError(
             f"expected a live {expected.__name__} record, got "
-            f"{type(metrics).__name__}"
+            f"{type(record).__name__}"
         )
-
-
-def register_scan_metrics(
-    registry: MetricsRegistry,
-    metrics: ScanMetrics,
-    *,
-    prefix: str = "repro_scan",
-) -> Collector:
-    """Expose a live :class:`~repro.obs.metrics.ScanMetrics` record.
-
-    Returns the collector so callers can
-    :meth:`~MetricsRegistry.unregister_collector` it later.
-    """
-    _require_record(metrics, ScanMetrics)
+    field_kinds(type(record))  # an undeclared field fails here, not mid-scrape
+    name = record.PREFIX if prefix is None else prefix
 
     def collect() -> List[MetricFamily]:
-        families = _record_families(metrics, prefix, "ScanMetrics")
-        families.append(
-            MetricFamily(
-                f"{prefix}_rows_per_second",
-                "gauge",
-                "ScanMetrics derived scan throughput.",
-                (Sample((), metrics.rows_per_second),),
-            )
-        )
-        return families
+        return _record_families(record, name)
 
     registry.register_collector(collect)
     return collect
+
+
+def register_record(
+    registry: MetricsRegistry,
+    record: MetricsRecord,
+    *,
+    prefix: Optional[str] = None,
+) -> Collector:
+    """Expose a live metrics record: every field plus its derived families.
+
+    Metric names are ``<prefix>_<field>``, the prefix defaulting to the
+    record's ``PREFIX`` (``repro_scan``, ``repro_serve_http``, ...).
+    Returns the collector so callers can
+    :meth:`~MetricsRegistry.unregister_collector` it later.
+    """
+    return _register(registry, record, MetricsRecord, prefix)
+
+
+def register_scan_metrics(
+    registry: MetricsRegistry, metrics: ScanMetrics, *, prefix: Optional[str] = None
+) -> Collector:
+    """Expose a live :class:`~repro.obs.metrics.ScanMetrics` record."""
+    return _register(registry, metrics, ScanMetrics, prefix)
 
 
 def register_pipeline_metrics(
     registry: MetricsRegistry,
     metrics: PipelineMetrics,
     *,
-    prefix: str = "repro_pipeline",
+    prefix: Optional[str] = None,
 ) -> Collector:
     """Expose a live :class:`~repro.obs.metrics.PipelineMetrics` record."""
-    _require_record(metrics, PipelineMetrics)
-
-    def collect() -> List[MetricFamily]:
-        families = _record_families(metrics, prefix, "PipelineMetrics")
-        families.append(
-            MetricFamily(
-                f"{prefix}_rows_per_second",
-                "gauge",
-                "PipelineMetrics derived ingest throughput.",
-                (Sample((), metrics.rows_per_second),),
-            )
-        )
-        families.append(
-            MetricFamily(
-                f"{prefix}_reservoir_occupancy",
-                "gauge",
-                "PipelineMetrics derived reservoir fill fraction.",
-                (Sample((), metrics.reservoir_occupancy),),
-            )
-        )
-        return families
-
-    registry.register_collector(collect)
-    return collect
+    return _register(registry, metrics, PipelineMetrics, prefix)
 
 
 def register_serve_metrics(
-    registry: MetricsRegistry,
-    metrics: ServeMetrics,
-    *,
-    prefix: str = "repro_serve",
+    registry: MetricsRegistry, metrics: ServeMetrics, *, prefix: Optional[str] = None
 ) -> Collector:
     """Expose a live :class:`~repro.obs.metrics.ServeMetrics` record."""
-    _require_record(metrics, ServeMetrics)
-
-    def collect() -> List[MetricFamily]:
-        families = _record_families(metrics, prefix, "ServeMetrics")
-        p50, p90, p99 = metrics.latency_percentiles((0.5, 0.9, 0.99))
-        families.append(
-            MetricFamily(
-                f"{prefix}_batch_latency_seconds",
-                "gauge",
-                "ServeMetrics derived batch-latency percentiles.",
-                (
-                    Sample((("quantile", "0.5"),), p50),
-                    Sample((("quantile", "0.9"),), p90),
-                    Sample((("quantile", "0.99"),), p99),
-                ),
-            )
-        )
-        families.append(
-            MetricFamily(
-                f"{prefix}_cache_hit_rate",
-                "gauge",
-                "ServeMetrics derived cache hit rate.",
-                (Sample((), metrics.cache_hit_rate),),
-            )
-        )
-        return families
-
-    registry.register_collector(collect)
-    return collect
-
-
-def register_store_metrics(
-    registry: MetricsRegistry,
-    metrics: StoreMetrics,
-    *,
-    prefix: str = "repro_store",
-) -> Collector:
-    """Expose a live :class:`~repro.obs.metrics.StoreMetrics` record."""
-    _require_record(metrics, StoreMetrics)
-
-    def collect() -> List[MetricFamily]:
-        families = _record_families(metrics, prefix, "StoreMetrics")
-        families.append(
-            MetricFamily(
-                f"{prefix}_cache_hit_rate",
-                "gauge",
-                "StoreMetrics derived warm-cache hit rate.",
-                (Sample((), metrics.cache_hit_rate),),
-            )
-        )
-        return families
-
-    registry.register_collector(collect)
-    return collect
+    return _register(registry, metrics, ServeMetrics, prefix)
 
 
 def register_serve_http_metrics(
     registry: MetricsRegistry,
     metrics: ServeHttpMetrics,
     *,
-    prefix: str = "repro_serve_http",
+    prefix: Optional[str] = None,
 ) -> Collector:
     """Expose a live :class:`~repro.obs.metrics.ServeHttpMetrics` record."""
-    _require_record(metrics, ServeHttpMetrics)
-
-    def collect() -> List[MetricFamily]:
-        families = _record_families(metrics, prefix, "ServeHttpMetrics")
-        p50, p90, p99 = metrics.coalesce_wait_percentiles((0.5, 0.9, 0.99))
-        families.append(
-            MetricFamily(
-                f"{prefix}_coalesce_wait_seconds",
-                "gauge",
-                "ServeHttpMetrics derived queue-wait percentiles.",
-                (
-                    Sample((("quantile", "0.5"),), p50),
-                    Sample((("quantile", "0.9"),), p90),
-                    Sample((("quantile", "0.99"),), p99),
-                ),
-            )
-        )
-        families.append(
-            MetricFamily(
-                f"{prefix}_rows_per_flush",
-                "gauge",
-                "ServeHttpMetrics derived mean coalesced batch size.",
-                (Sample((), metrics.rows_per_flush),),
-            )
-        )
-        families.append(
-            MetricFamily(
-                f"{prefix}_rejected_total",
-                "gauge",
-                "ServeHttpMetrics derived shed + expired request count.",
-                (Sample((), float(metrics.n_rejected)),),
-            )
-        )
-        return families
-
-    registry.register_collector(collect)
-    return collect
+    return _register(registry, metrics, ServeHttpMetrics, prefix)
 
 
+def register_store_metrics(
+    registry: MetricsRegistry, metrics: StoreMetrics, *, prefix: Optional[str] = None
+) -> Collector:
+    """Expose a live :class:`~repro.obs.metrics.StoreMetrics` record."""
+    return _register(registry, metrics, StoreMetrics, prefix)
 
 
 def register_watch_metrics(
-    registry: MetricsRegistry,
-    metrics: WatchMetrics,
-    *,
-    prefix: str = "repro_watch",
+    registry: MetricsRegistry, metrics: WatchMetrics, *, prefix: Optional[str] = None
 ) -> Collector:
     """Expose a live :class:`~repro.obs.metrics.WatchMetrics` record."""
-    _require_record(metrics, WatchMetrics)
-
-    def collect() -> List[MetricFamily]:
-        families = _record_families(metrics, prefix, "WatchMetrics")
-        families.append(
-            MetricFamily(
-                f"{prefix}_quarantine_fraction",
-                "gauge",
-                "WatchMetrics derived quarantined share of scored rows.",
-                (Sample((), metrics.quarantine_fraction),),
-            )
-        )
-        families.append(
-            MetricFamily(
-                f"{prefix}_rows_per_second",
-                "gauge",
-                "WatchMetrics derived scoring throughput.",
-                (Sample((), metrics.rows_per_second),),
-            )
-        )
-        return families
-
-    registry.register_collector(collect)
-    return collect
+    return _register(registry, metrics, WatchMetrics, prefix)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import ScanMetrics, ServeMetrics, Stopwatch
+from repro.obs.metrics import ServeHttpMetrics
 
 
 def _full_record():
@@ -196,3 +197,42 @@ class TestStopwatch:
         with Stopwatch() as watch:
             _ = np.ones(8).sum()
         assert watch.seconds >= 0.0
+
+
+def _serve_percentiles(populated, quantiles):
+    record = ServeMetrics()
+    if populated:
+        record.record_batch(
+            n_rows=1,
+            n_rows_filled=1,
+            n_rows_no_holes=0,
+            n_rows_all_holes=0,
+            n_holes_filled=1,
+            group_sizes=[1],
+            seconds=0.01,
+        )
+    return record.latency_percentiles(quantiles)
+
+
+def _http_percentiles(populated, quantiles):
+    record = ServeHttpMetrics()
+    if populated:
+        record.record_flush(n_rows=1, waits=[0.01], queue_depth=0)
+    return record.coalesce_wait_percentiles(quantiles)
+
+
+class TestPercentileValidation:
+    """A quantile outside [0, 1] is rejected by an empty record too,
+    not only once the record holds a sample."""
+
+    @pytest.mark.parametrize("percentiles", [_serve_percentiles, _http_percentiles])
+    @pytest.mark.parametrize("quantile", [1.5, -1.0, float("nan")])
+    @pytest.mark.parametrize("populated", [False, True])
+    def test_bad_quantile_raises(self, percentiles, quantile, populated):
+        with pytest.raises(ValueError, match="quantile must be in"):
+            percentiles(populated, (0.5, quantile))
+
+    @pytest.mark.parametrize("percentiles", [_serve_percentiles, _http_percentiles])
+    def test_empty_record_reads_zeros(self, percentiles):
+        assert percentiles(False, (0.0, 0.5, 1.0)) == (0.0, 0.0, 0.0)
+        assert percentiles(True, (0.0, 1.0)) == (0.01, 0.01)

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the metrics records.
 
-Two families of invariants over all three records:
+Two families of invariants over all six records:
 
 * **Round-trip**: ``from_dict(to_dict(m)) == m`` and the JSON twin --
   serialization must reproduce every field, so snapshots on disk are
@@ -9,7 +9,9 @@ Two families of invariants over all three records:
   under any rollup order) and folds every counter exactly once (no
   dropped and no double-counted fields).  The per-field classification
   lists below are exhaustive on purpose: adding a field to a record
-  without deciding its merge behavior fails the classification test.
+  without deciding its merge behavior fails the classification test,
+  and ``test_metadata_matches_classification`` checks each field's
+  declared kind against these hand-written tables.
 
 Summed float fields are drawn as integer-valued floats so that
 float-addition associativity is exact; the *merge semantics* under
@@ -454,3 +456,105 @@ def test_snapshot_is_independent_of_the_live_record(record_type, data):
     restored = _copy(record)
     restored.merge(_copy(record))
     assert record.to_json() == before
+
+
+#: Which oracle bucket each declared field kind belongs to.  Written out
+#: by hand, like the tables above, so the check below compares the
+#: metadata against an independent classification.
+_BUCKET_OF_KIND = {
+    "counter": "summed",
+    "summed_gauge": "summed",
+    "gauge": "receiver_kept",
+    "samples": "concatenated",
+    "keyed": "key_summed",
+    "extras": "key_summed",
+    "maxed": "maxed",
+}
+_BUCKETS = {
+    "summed": _SUMMED,
+    "receiver_kept": _RECEIVER_KEPT,
+    "concatenated": _CONCATENATED,
+    "key_summed": _KEY_SUMMED,
+    "maxed": _MAXED,
+}
+
+
+@_record_params
+def test_metadata_matches_classification(record_type):
+    for field_def in dataclasses.fields(record_type):
+        kind = field_def.metadata.get("kind")
+        buckets = [
+            bucket
+            for bucket, table in _BUCKETS.items()
+            if field_def.name in table[record_type]
+        ]
+        assert buckets == [_BUCKET_OF_KIND.get(kind)], (
+            f"{record_type.__name__}.{field_def.name}: declared kind "
+            f"{kind!r}, classified as {buckets}"
+        )
+
+
+#: Summed fields that their writer resets, so they are not monotonic
+#: and must not scrape as Prometheus counters.
+_RESET_SUMS = {PipelineMetrics: ("rows_since_refresh",)}
+
+
+def _expected_counters(record_type):
+    summed = set(_SUMMED[record_type]) - set(_RESET_SUMS.get(record_type, ()))
+    keyed = set(_KEY_SUMMED[record_type]) - {"extras"}
+    return summed | keyed
+
+
+@_record_params
+def test_monotonic_fields_scrape_as_counters(record_type):
+    from repro.obs import MetricsRegistry, register_record
+
+    registry = MetricsRegistry()
+    record = record_type()
+    register_record(registry, record)
+    types = {family.name: family.type for family in registry.collect()}
+    prefix = record.PREFIX
+    counters = _expected_counters(record_type)
+    field_families = set()
+    for field_def in dataclasses.fields(record_type):
+        name = f"{prefix}_{field_def.name}"
+        names = [
+            candidate
+            for candidate in (name, f"{name}_info", f"{name}_retained")
+            if candidate in types
+        ]
+        field_families.update(names)
+        expected = "counter" if field_def.name in counters else "gauge"
+        assert names and {types[n] for n in names} == {expected}, (
+            field_def.name,
+            {n: types[n] for n in names},
+        )
+    derived_counters = {
+        name for name in set(types) - field_families if types[name] == "counter"
+    }
+    if record_type is ServeHttpMetrics:
+        assert derived_counters == {"repro_serve_http_rejected_total"}
+    else:
+        assert derived_counters == set()
+
+
+def test_field_without_a_kind_fails_loudly():
+    from repro.obs import MetricsRecord, MetricsRegistry, register_record
+    from repro.obs.metrics import counter
+
+    @dataclasses.dataclass
+    class Undeclared(MetricsRecord):
+        n_rows: int = counter(0)
+        n_forgotten: int = 0
+
+    record = Undeclared()
+    with pytest.raises(TypeError, match="n_forgotten declares no metrics kind"):
+        record.to_dict()
+    with pytest.raises(TypeError, match="n_forgotten"):
+        record.merge(Undeclared())
+    with pytest.raises(TypeError, match="n_forgotten"):
+        Undeclared.from_dict({})
+    registry = MetricsRegistry()
+    with pytest.raises(TypeError, match="n_forgotten"):
+        register_record(registry, record)
+    assert registry.collect() == []

@@ -16,8 +16,17 @@ from repro.io.csv_format import save_csv_matrix
 from repro.io.schema import TableSchema
 from repro.obs import MetricsRegistry, get_tracer, register_scan_metrics, to_json
 from repro.obs.metrics import ScanMetrics
+from tests.conftest import no_leaked_servers
 
 pytestmark = pytest.mark.obs
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_leaked_servers():
+    """Every metrics endpoint a test module starts is stopped by its end."""
+    with no_leaked_servers():
+        yield
+
 
 SCHEMA = TableSchema.from_names(["a", "b", "c"])
 
@@ -201,3 +210,51 @@ class TestObsDump:
         path.write_text(json.dumps({"something": "else"}))
         assert main(["obs", "dump", str(path)]) == 2
         assert "neither a span trace" in capsys.readouterr().err
+
+
+class TestSessionRegistration:
+    """``_ObsSession.register`` exposes any of the six records."""
+
+    #: Record type -> a field family its scrape must hold.
+    FAMILIES = {
+        "ScanMetrics": "repro_scan_n_rows",
+        "PipelineMetrics": "repro_pipeline_rows_ingested",
+        "ServeMetrics": "repro_serve_n_batches",
+        "ServeHttpMetrics": "repro_serve_http_n_requests",
+        "StoreMetrics": "repro_store_n_publishes",
+        "WatchMetrics": "repro_watch_rows_seen",
+    }
+
+    def _scrape(self, session):
+        import urllib.request
+
+        with urllib.request.urlopen(session._server.url, timeout=10) as reply:
+            return reply.read().decode("utf-8")
+
+    def test_every_record_type_reaches_the_endpoint(self, capsys):
+        import argparse
+
+        import repro.obs.metrics as metrics
+        from repro.cli import _ObsSession
+
+        args = argparse.Namespace(trace=None, metrics_port=0)
+        with _ObsSession(args) as session:
+            session.register(None)
+            assert self._scrape(session) == "\n"  # None stays a no-op
+            for type_name in self.FAMILIES:
+                session.register(getattr(metrics, type_name)())
+            text = self._scrape(session)
+        for type_name, family in self.FAMILIES.items():
+            assert f"# TYPE {family} counter" in text, type_name
+            assert f"# HELP {family} {type_name} field" in text, type_name
+
+    def test_register_without_endpoint_is_a_no_op(self):
+        import argparse
+
+        from repro.cli import _ObsSession
+
+        args = argparse.Namespace(trace=None, metrics_port=None)
+        with _ObsSession(args) as session:
+            session.register(ScanMetrics())
+            session.register(None)
+            assert session._server is None

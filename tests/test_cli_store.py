@@ -19,9 +19,18 @@ from repro.io.schema import TableSchema
 from repro.serve import ModelRegistry
 from repro.store import DEFAULT_NAMESPACE, ModelStore
 
+from tests.conftest import no_leaked_servers
 from tests.serve.conftest import http_get, http_post
 
 pytestmark = [pytest.mark.serve, pytest.mark.store]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_leaked_servers():
+    """Every server and coalescer a test module starts is stopped by its end."""
+    with no_leaked_servers():
+        yield
+
 
 SCHEMA = TableSchema.from_names(["a", "b", "c"])
 
