@@ -302,15 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         "resumed model is exactly the uninterrupted one)",
     )
     fit.add_argument(
-        "--accumulate-dtype",
-        default="float64",
-        choices=["float64", "raw64", "float32"],
-        help="covariance accumulation mode: float64 (default, "
-        "bit-identical to the reference path), raw64 "
-        "(BLAS raw-moment accumulation), or float32 "
-        "(single-precision moments, float64 centering)",
-    )
-    fit.add_argument(
         "--target-chunks",
         type=int,
         default=None,
@@ -932,7 +923,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 checkpoint=args.checkpoint,
                 resume=args.resume,
                 target_chunks=args.target_chunks,
-                accumulate_dtype=args.accumulate_dtype,
                 min_chunk_bytes=args.min_chunk_bytes,
                 shm_handoff=not args.no_shm_handoff,
             )
@@ -946,11 +936,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 )
             return 3
     else:
-        model = RatioRuleModel(
-            cutoff=cutoff,
-            backend=args.backend,
-            accumulate_dtype=args.accumulate_dtype,
-        )
+        model = RatioRuleModel(cutoff=cutoff, backend=args.backend)
         model.fit(args.data)
     _obs_register(args, model.metrics_)
     if model.metrics_ is not None and model.metrics_.n_quarantined:

@@ -36,32 +36,11 @@ import numpy as np
 from repro.io.matrix_reader import MatrixReader, open_matrix
 
 __all__ = [
-    "ACCUMULATE_DTYPES",
     "DecayingCovariance",
     "StreamingCovariance",
     "TextbookCovarianceAccumulator",
     "covariance_single_pass",
 ]
-
-
-#: Accumulation modes for :class:`StreamingCovariance`.
-#:
-#: ``"float64"``
-#:     Chan/Golub/LeVeque block-centered merging (the historical
-#:     default).  Numerically stable and **bit-identical** to every
-#:     previous release -- the scan engine's differential guarantees
-#:     are stated against this mode.
-#: ``"raw64"``
-#:     Raw-moment accumulation in float64: per block a single BLAS
-#:     ``X^T X`` (no centering copy, no per-block mean), with one exact
-#:     centering correction applied at read-out.  Fastest CPU path;
-#:     shares the textbook accumulator's sensitivity to huge means.
-#: ``"float32"``
-#:     Like ``raw64`` but the ``M x M`` co-moment matrix accumulates in
-#:     float32 (half the memory traffic, 2x BLAS throughput on many
-#:     CPUs) while the column sums and the centering correction stay in
-#:     float64.
-ACCUMULATE_DTYPES = ("float64", "raw64", "float32")
 
 
 class StreamingCovariance:
@@ -70,37 +49,15 @@ class StreamingCovariance:
     State after seeing ``n`` rows: the row count, the column means, and
     the centered scatter matrix ``S = sum_i (x_i - mean)(x_i - mean)^t``.
     Updates are O(B * M^2) per ``B``-row block; memory is O(M^2).
-
-    ``accumulate_dtype`` selects between the stable centered default
-    and two raw-moment BLAS fast paths; see :data:`ACCUMULATE_DTYPES`.
-    Accumulators only merge with peers of the same mode.
     """
 
-    def __init__(
-        self, n_cols: int, *, accumulate_dtype: str = "float64"
-    ) -> None:
+    def __init__(self, n_cols: int) -> None:
         if n_cols < 1:
             raise ValueError(f"n_cols must be >= 1, got {n_cols}")
-        if accumulate_dtype not in ACCUMULATE_DTYPES:
-            raise ValueError(
-                f"unknown accumulate_dtype {accumulate_dtype!r}; "
-                f"expected one of {ACCUMULATE_DTYPES}"
-            )
         self._n_cols = int(n_cols)
-        self._mode = accumulate_dtype
         self._count = 0
-        if accumulate_dtype == "float64":
-            self._mean = np.zeros(n_cols)
-            self._scatter = np.zeros((n_cols, n_cols))
-        else:
-            raw_dtype = (
-                np.float64 if accumulate_dtype == "raw64" else np.float32
-            )
-            # Column sums stay float64 in *both* raw modes: the centering
-            # correction at read-out is then exact in the mean direction,
-            # which is where float32 would hurt the most.
-            self._colsum = np.zeros(n_cols, dtype=np.float64)
-            self._raw = np.zeros((n_cols, n_cols), dtype=raw_dtype)
+        self._mean = np.zeros(n_cols)
+        self._scatter = np.zeros((n_cols, n_cols))
 
     # -- accumulation ---------------------------------------------------
 
@@ -116,21 +73,10 @@ class StreamingCovariance:
         b_count = block.shape[0]
         if b_count == 0:
             return
-        if self._mode == "float64":
-            b_mean = block.mean(axis=0)
-            centered = block - b_mean
-            b_scatter = centered.T @ centered
-            self._merge_stats(b_count, b_mean, b_scatter)
-            return
-        # Raw-moment fast path: one gemm on the block as-is (works
-        # directly on memory-mapped views -- no centering copy).
-        if self._mode == "float32":
-            compact = block.astype(np.float32)
-            self._raw += compact.T @ compact
-        else:
-            self._raw += block.T @ block
-        self._colsum += block.sum(axis=0)
-        self._count += b_count
+        b_mean = block.mean(axis=0)
+        centered = block - b_mean
+        b_scatter = centered.T @ centered
+        self._merge_stats(b_count, b_mean, b_scatter)
 
     def merge(self, other: "StreamingCovariance") -> None:
         """Fold another accumulator's statistics into this one.
@@ -144,17 +90,7 @@ class StreamingCovariance:
                 f"cannot merge accumulators of widths {self._n_cols} "
                 f"and {other._n_cols}"
             )
-        if other._mode != self._mode:
-            raise ValueError(
-                f"cannot merge accumulators with accumulate_dtype "
-                f"{self._mode!r} and {other._mode!r}"
-            )
-        if self._mode == "float64":
-            self._merge_stats(other._count, other._mean, other._scatter)
-            return
-        self._raw += other._raw
-        self._colsum += other._colsum
-        self._count += other._count
+        self._merge_stats(other._count, other._mean, other._scatter)
 
     def _merge_stats(
         self, b_count: int, b_mean: np.ndarray, b_scatter: np.ndarray
@@ -177,64 +113,48 @@ class StreamingCovariance:
     # -- serialization -----------------------------------------------------
 
     def state(self) -> dict:
-        """Snapshot the accumulator as a ``mode`` tag plus plain arrays.
+        """Snapshot the accumulator as ``count``, ``mean`` and ``scatter``.
 
-        The default mode's dict (``count``, ``mean``, ``scatter``) is
-        the complete state: feeding it to :meth:`from_state`
-        reconstructs an accumulator that is bit-for-bit interchangeable
-        with this one.  Raw modes snapshot (``count``, ``colsum``,
-        ``raw``) instead.  This is what the scan engine's checkpoint
-        files persist, so an interrupted sharded fit can resume without
-        rescanning finished chunks (see :mod:`repro.core.engine`).
+        The returned dict is the complete state: feeding it to
+        :meth:`from_state` reconstructs an accumulator that is
+        bit-for-bit interchangeable with this one.  This is what the
+        scan engine's checkpoint files persist, so an interrupted
+        sharded fit can resume without rescanning finished chunks (see
+        :mod:`repro.core.engine`).
         """
-        if self._mode == "float64":
-            return {
-                "mode": "float64",
-                "count": int(self._count),
-                "mean": self._mean.copy(),
-                "scatter": self._scatter.copy(),
-            }
         return {
-            "mode": self._mode,
             "count": int(self._count),
-            "colsum": self._colsum.copy(),
-            "raw": self._raw.copy(),
+            "mean": self._mean.copy(),
+            "scatter": self._scatter.copy(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "StreamingCovariance":
         """Rebuild an accumulator from a :meth:`state` snapshot.
 
-        Snapshots written before accumulation modes existed carry no
-        ``mode`` key and load as ``float64``.
+        Snapshots carry no ``mode`` key, or ``"mode": "float64"`` as
+        older ones did; a snapshot of a retired raw-moment mode is
+        refused with a ``ValueError`` that names the mode.
         """
         mode = str(state.get("mode", "float64"))
+        if mode != "float64":
+            raise ValueError(
+                f"accumulation mode {mode!r} is no longer supported; "
+                "only float64 accumulator states load (rescan the source)"
+            )
         count = int(state["count"])
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        if mode == "float64":
-            mean = np.asarray(state["mean"], dtype=np.float64)
-            scatter = np.asarray(state["scatter"], dtype=np.float64)
-            if mean.ndim != 1 or scatter.shape != (mean.size, mean.size):
-                raise ValueError(
-                    f"inconsistent state: mean {mean.shape}, scatter {scatter.shape}"
-                )
-            accumulator = cls(mean.size)
-            accumulator._count = count
-            accumulator._mean = mean.copy()
-            accumulator._scatter = scatter.copy()
-            return accumulator
-        colsum = np.asarray(state["colsum"], dtype=np.float64)
-        raw_dtype = np.float64 if mode == "raw64" else np.float32
-        raw = np.asarray(state["raw"], dtype=raw_dtype)
-        if colsum.ndim != 1 or raw.shape != (colsum.size, colsum.size):
+        mean = np.asarray(state["mean"], dtype=np.float64)
+        scatter = np.asarray(state["scatter"], dtype=np.float64)
+        if mean.ndim != 1 or scatter.shape != (mean.size, mean.size):
             raise ValueError(
-                f"inconsistent state: colsum {colsum.shape}, raw {raw.shape}"
+                f"inconsistent state: mean {mean.shape}, scatter {scatter.shape}"
             )
-        accumulator = cls(colsum.size, accumulate_dtype=mode)
+        accumulator = cls(mean.size)
         accumulator._count = count
-        accumulator._colsum = colsum.copy()
-        accumulator._raw = raw.copy()
+        accumulator._mean = mean.copy()
+        accumulator._scatter = scatter.copy()
         return accumulator
 
     # -- results ----------------------------------------------------------
@@ -250,33 +170,16 @@ class StreamingCovariance:
         return self._count
 
     @property
-    def accumulate_dtype(self) -> str:
-        """The accumulation mode (see :data:`ACCUMULATE_DTYPES`)."""
-        return self._mode
-
-    @property
     def column_means(self) -> np.ndarray:
         """Current column means (copy)."""
-        if self._mode == "float64":
-            return self._mean.copy()
-        if self._count == 0:
-            return np.zeros(self._n_cols)
-        return self._colsum / self._count
+        return self._mean.copy()
 
     def scatter_matrix(self) -> np.ndarray:
         """The paper's ``C = Xc^t Xc`` (centered scatter, unnormalized)."""
         if self._count == 0:
             raise ValueError("no rows accumulated yet")
-        if self._mode == "float64":
-            # Force exact symmetry (merges can drift by ulps).
-            return (self._scatter + self._scatter.T) / 2.0
-        # One exact float64 centering correction at read-out:
-        # S = sum x x^t - N mean mean^t.
-        means = self._colsum / self._count
-        scatter = self._raw.astype(np.float64) - self._count * np.outer(
-            means, means
-        )
-        return (scatter + scatter.T) / 2.0
+        # Force exact symmetry (merges can drift by ulps).
+        return (self._scatter + self._scatter.T) / 2.0
 
     def covariance(self, ddof: int = 1) -> np.ndarray:
         """Normalized covariance ``S / (N - ddof)``.
@@ -505,7 +408,6 @@ def covariance_single_pass(
     *,
     block_rows: int = 4096,
     accumulator: str = "stable",
-    accumulate_dtype: str = "float64",
     metrics=None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """One sequential scan of ``source`` -> (scatter ``C``, means, ``N``).
@@ -523,9 +425,6 @@ def covariance_single_pass(
         ``"stable"`` (default) uses :class:`StreamingCovariance`;
         ``"textbook"`` uses the paper-faithful
         :class:`TextbookCovarianceAccumulator`.
-    accumulate_dtype:
-        Accumulation mode for the stable accumulator (see
-        :data:`ACCUMULATE_DTYPES`); ignored by the textbook one.
     metrics:
         Optional :class:`~repro.obs.metrics.ScanMetrics` to fill with
         the scan's row/block counts and wall-clock.
@@ -539,9 +438,7 @@ def covariance_single_pass(
     owns_reader = not isinstance(source, MatrixReader)
     reader = open_matrix(source)
     if accumulator == "stable":
-        acc: object = StreamingCovariance(
-            reader.n_cols, accumulate_dtype=accumulate_dtype
-        )
+        acc: object = StreamingCovariance(reader.n_cols)
     elif accumulator == "textbook":
         acc = TextbookCovarianceAccumulator(reader.n_cols)
     else:

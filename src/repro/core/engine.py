@@ -94,7 +94,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.covariance import ACCUMULATE_DTYPES, StreamingCovariance
+from repro.core.covariance import StreamingCovariance
 from repro.io.matrix_reader import (
     ArrayReader,
     CSVChunkReader,
@@ -195,26 +195,22 @@ atexit.register(shutdown_pools)
 # -- shared-memory partial handoff ------------------------------------------
 
 
-def _slot_nbytes(accumulate_dtype: str, n_cols: int) -> int:
-    """Bytes per chunk slot: int64 count + float64 vector + matrix."""
-    item = 4 if accumulate_dtype == "float32" else 8
-    return 8 + 8 * n_cols + item * n_cols * n_cols
+def _slot_nbytes(n_cols: int) -> int:
+    """Bytes per chunk slot: int64 count + float64 mean + scatter."""
+    return 8 + 8 * n_cols + 8 * n_cols * n_cols
 
 
-def _slot_views(buf, offset: int, accumulate_dtype: str, n_cols: int):
-    """(count, vector, matrix) numpy views into one shared-memory slot."""
+def _slot_views(buf, offset: int, n_cols: int):
+    """(count, mean, scatter) numpy views into one shared-memory slot."""
     count = np.frombuffer(buf, dtype=np.int64, count=1, offset=offset)
-    vector = np.frombuffer(
-        buf, dtype=np.float64, count=n_cols, offset=offset + 8
-    )
-    matrix_dtype = np.float32 if accumulate_dtype == "float32" else np.float64
-    matrix = np.frombuffer(
+    mean = np.frombuffer(buf, dtype=np.float64, count=n_cols, offset=offset + 8)
+    scatter = np.frombuffer(
         buf,
-        dtype=matrix_dtype,
+        dtype=np.float64,
         count=n_cols * n_cols,
         offset=offset + 8 + 8 * n_cols,
     ).reshape(n_cols, n_cols)
-    return count, vector, matrix
+    return count, mean, scatter
 
 
 def _publish_partial(accumulator: StreamingCovariance, handoff) -> bool:
@@ -226,7 +222,7 @@ def _publish_partial(accumulator: StreamingCovariance, handoff) -> bool:
     """
     from multiprocessing import shared_memory
 
-    shm_name, offset, accumulate_dtype, n_cols = handoff
+    shm_name, offset, n_cols = handoff
     try:
         segment = shared_memory.SharedMemory(name=shm_name)
     except OSError:
@@ -238,48 +234,29 @@ def _publish_partial(accumulator: StreamingCovariance, handoff) -> bool:
         # here: that would erase the coordinator's own registration and
         # its later unlink() would trip a KeyError inside the tracker.
         state = accumulator.state()
-        count, vector, matrix = _slot_views(
-            segment.buf, offset, accumulate_dtype, n_cols
-        )
+        count, mean, scatter = _slot_views(segment.buf, offset, n_cols)
         try:
             count[0] = state["count"]
-            if accumulate_dtype == "float64":
-                vector[:] = state["mean"]
-                matrix[:] = state["scatter"]
-            else:
-                vector[:] = state["colsum"]
-                matrix[:] = state["raw"]
+            mean[:] = state["mean"]
+            scatter[:] = state["scatter"]
         finally:
-            del count, vector, matrix
+            del count, mean, scatter
         return True
     finally:
         segment.close()
 
 
-def _collect_partial(
-    segment, offset: int, accumulate_dtype: str, n_cols: int
-) -> StreamingCovariance:
+def _collect_partial(segment, offset: int, n_cols: int) -> StreamingCovariance:
     """Coordinator side: rebuild a partial from its slot (copies out)."""
-    count, vector, matrix = _slot_views(
-        segment.buf, offset, accumulate_dtype, n_cols
-    )
+    count, mean, scatter = _slot_views(segment.buf, offset, n_cols)
     try:
-        if accumulate_dtype == "float64":
-            state = {
-                "mode": "float64",
-                "count": int(count[0]),
-                "mean": vector.copy(),
-                "scatter": matrix.copy(),
-            }
-        else:
-            state = {
-                "mode": accumulate_dtype,
-                "count": int(count[0]),
-                "colsum": vector.copy(),
-                "raw": matrix.copy(),
-            }
+        state = {
+            "count": int(count[0]),
+            "mean": mean.copy(),
+            "scatter": scatter.copy(),
+        }
     finally:
-        del count, vector, matrix
+        del count, mean, scatter
     return StreamingCovariance.from_state(state)
 
 
@@ -428,42 +405,20 @@ class ScanCheckpoint:
     # -- plan binding ------------------------------------------------------
 
     @staticmethod
-    def _fingerprint(
-        chunks: Sequence[ScanChunk],
-        block_rows: int,
-        accumulate_dtype: str = "float64",
-    ) -> str:
+    def _fingerprint(chunks: Sequence[ScanChunk], block_rows: int) -> str:
         payload = {
             "block_rows": int(block_rows),
             "chunks": [chunk.signature() for chunk in chunks],
         }
-        # Keep float64 fingerprints byte-identical to files written
-        # before accumulation modes existed, so those still resume.
-        if accumulate_dtype != "float64":
-            payload["accumulate_dtype"] = accumulate_dtype
         return json.dumps(payload, sort_keys=True)
 
-    def bind_plan(
-        self,
-        chunks: Sequence[ScanChunk],
-        block_rows: int,
-        accumulate_dtype: str = "float64",
-    ) -> None:
+    def bind_plan(self, chunks: Sequence[ScanChunk], block_rows: int) -> None:
         """Pin this checkpoint to a planned scan."""
-        self._plan_json = self._fingerprint(
-            chunks, block_rows, accumulate_dtype
-        )
+        self._plan_json = self._fingerprint(chunks, block_rows)
 
-    def matches(
-        self,
-        chunks: Sequence[ScanChunk],
-        block_rows: int,
-        accumulate_dtype: str = "float64",
-    ) -> bool:
+    def matches(self, chunks: Sequence[ScanChunk], block_rows: int) -> bool:
         """Whether the stored plan is exactly the given plan."""
-        return self._plan_json == self._fingerprint(
-            chunks, block_rows, accumulate_dtype
-        )
+        return self._plan_json == self._fingerprint(chunks, block_rows)
 
     # -- contents ----------------------------------------------------------
 
@@ -495,15 +450,9 @@ class ScanCheckpoint:
         }
         for index, (accumulator, n_blocks) in self._partials.items():
             state = accumulator.state()
-            mode = state.get("mode", "float64")
             arrays[f"count_{index}"] = np.asarray(state["count"], dtype=np.int64)
-            if mode == "float64":
-                arrays[f"mean_{index}"] = state["mean"]
-                arrays[f"scatter_{index}"] = state["scatter"]
-            else:
-                arrays[f"mode_{index}"] = np.asarray([mode])
-                arrays[f"colsum_{index}"] = state["colsum"]
-                arrays[f"raw_{index}"] = state["raw"]
+            arrays[f"mean_{index}"] = state["mean"]
+            arrays[f"scatter_{index}"] = state["scatter"]
             arrays[f"blocks_{index}"] = np.asarray(n_blocks, dtype=np.int64)
         tmp_path = self.path.with_name(self.path.name + ".tmp")
         with open(tmp_path, "wb") as handle:
@@ -518,12 +467,9 @@ class ScanCheckpoint:
             checkpoint._plan_json = str(archive["plan_json"][0])
             for index in archive["done"].tolist():
                 if f"mode_{index}" in archive:
-                    state = {
-                        "mode": str(archive[f"mode_{index}"][0]),
-                        "count": int(archive[f"count_{index}"]),
-                        "colsum": archive[f"colsum_{index}"],
-                        "raw": archive[f"raw_{index}"],
-                    }
+                    # Partials of a retired raw-moment mode: from_state
+                    # refuses them by name rather than rescanning.
+                    state = {"mode": str(archive[f"mode_{index}"][0])}
                 else:
                     state = {
                         "count": int(archive[f"count_{index}"]),
@@ -650,10 +596,7 @@ def plan_chunks(
 
 
 def scan_chunk(
-    chunk: ScanChunk,
-    block_rows: int = 4096,
-    *,
-    accumulate_dtype: str = "float64",
+    chunk: ScanChunk, block_rows: int = 4096
 ) -> Tuple[StreamingCovariance, int]:
     """Map step: scan one chunk into ``(partial accumulator, n_blocks)``.
 
@@ -676,9 +619,7 @@ def scan_chunk(
     else:
         raise ValueError(f"unknown chunk kind {chunk.kind!r}")
     try:
-        accumulator = StreamingCovariance(
-            reader.n_cols, accumulate_dtype=accumulate_dtype
-        )
+        accumulator = StreamingCovariance(reader.n_cols)
         n_blocks = 0
         for block in reader.iter_blocks(block_rows):
             accumulator.update(block)
@@ -707,30 +648,18 @@ def _scan_chunk_task(args) -> Tuple[Optional[StreamingCovariance], int, Optional
     the tuple comes back ``None`` -- the coordinator rebuilds the
     partial from the slot, skipping result-pipe pickling.
     """
-    (
-        chunk,
-        block_rows,
-        fault_injector,
-        chunk_index,
-        trace,
-        accumulate_dtype,
-        handoff,
-    ) = args
+    chunk, block_rows, fault_injector, chunk_index, trace, handoff = args
     if fault_injector is not None:
         fault_injector.on_chunk_start(chunk_index)
     spans = None
     if not trace:
-        accumulator, n_blocks = scan_chunk(
-            chunk, block_rows, accumulate_dtype=accumulate_dtype
-        )
+        accumulator, n_blocks = scan_chunk(chunk, block_rows)
     else:
         tracer = Tracer(enabled=True)
         with tracer.span(
             "scan.chunk", chunk_index=chunk_index, kind=chunk.kind
         ) as chunk_span:
-            accumulator, n_blocks = scan_chunk(
-                chunk, block_rows, accumulate_dtype=accumulate_dtype
-            )
+            accumulator, n_blocks = scan_chunk(chunk, block_rows)
             chunk_span.set_attr("rows", accumulator.n_rows)
             chunk_span.set_attr("blocks", n_blocks)
         spans = tracer.export()
@@ -836,7 +765,6 @@ def _execute_chunks(
     fault_injector,
     checkpoint: Optional[ScanCheckpoint],
     trace: bool = False,
-    accumulate_dtype: str = "float64",
     shm_handoff: bool = True,
 ) -> Tuple[Dict[int, Tuple[StreamingCovariance, int]], str, Dict[int, list]]:
     """Run the pending chunk indices with retry/quarantine/degradation.
@@ -885,7 +813,6 @@ def _execute_chunks(
                                 fault_injector,
                                 index,
                                 trace,
-                                accumulate_dtype,
                                 None,
                             )
                         ),
@@ -901,7 +828,7 @@ def _execute_chunks(
             slot_offsets: Dict[int, int] = {}
             n_cols = chunks[queue[0]].n_cols
             if current == "process" and shm_handoff:
-                slot = _slot_nbytes(accumulate_dtype, n_cols)
+                slot = _slot_nbytes(n_cols)
                 try:
                     from multiprocessing import shared_memory
 
@@ -926,15 +853,9 @@ def _execute_chunks(
                                 fault_injector,
                                 index,
                                 trace,
-                                accumulate_dtype,
                                 None
                                 if segment is None
-                                else (
-                                    segment.name,
-                                    slot_offsets[index],
-                                    accumulate_dtype,
-                                    n_cols,
-                                ),
+                                else (segment.name, slot_offsets[index], n_cols),
                             ),
                         )
                 except BrokenExecutor as exc:
@@ -953,10 +874,7 @@ def _execute_chunks(
                         )
                         if accumulator is None:
                             accumulator = _collect_partial(
-                                segment,
-                                slot_offsets[index],
-                                accumulate_dtype,
-                                n_cols,
+                                segment, slot_offsets[index], n_cols
                             )
                             metrics.n_shm_handoffs += 1
                         elif current == "process":
@@ -1045,7 +963,6 @@ def scan_sources(
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
     fault_injector=None,
-    accumulate_dtype: str = "float64",
     min_chunk_bytes: int = MIN_CHUNK_BYTES,
     shm_handoff: bool = True,
 ) -> ScanResult:
@@ -1098,12 +1015,6 @@ def scan_sources(
         Test hook (see :mod:`repro.testing.faults`): an object whose
         ``on_chunk_start(chunk_index)`` runs in the worker before each
         attempt and may raise, sleep, or kill the worker.
-    accumulate_dtype:
-        Accumulation mode for every per-chunk partial and the merged
-        result (see
-        :data:`~repro.core.covariance.ACCUMULATE_DTYPES`).  The
-        default ``"float64"`` keeps the bit-exact stable path; raw
-        modes trade the per-block centering for a single BLAS call.
     min_chunk_bytes:
         Adaptive chunk sizing floor.  When ``target_chunks`` is not
         given, large workloads are over-chunked -- up to 4x the pool
@@ -1131,11 +1042,6 @@ def scan_sources(
         )
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
-    if accumulate_dtype not in ACCUMULATE_DTYPES:
-        raise ValueError(
-            f"accumulate_dtype must be one of {ACCUMULATE_DTYPES}, "
-            f"got {accumulate_dtype!r}"
-        )
     policy = RetryPolicy(
         max_retries=max_retries,
         backoff_seconds=backoff_seconds,
@@ -1200,9 +1106,7 @@ def scan_sources(
                 checkpoint_path = Path(checkpoint)
                 if resume and checkpoint_path.exists():
                     store = ScanCheckpoint.load(checkpoint_path)
-                    if not store.matches(
-                        chunks, block_rows, accumulate_dtype=accumulate_dtype
-                    ):
+                    if not store.matches(chunks, block_rows):
                         raise ValueError(
                             f"checkpoint {checkpoint_path} was written for a "
                             "different scan plan (sources, chunking, or "
@@ -1212,9 +1116,7 @@ def scan_sources(
                     completed = store.completed
                 else:
                     store = ScanCheckpoint(checkpoint_path)
-                    store.bind_plan(
-                        chunks, block_rows, accumulate_dtype=accumulate_dtype
-                    )
+                    store.bind_plan(chunks, block_rows)
             metrics.n_chunks_resumed = len(completed)
 
             pending = [
@@ -1239,7 +1141,6 @@ def scan_sources(
                 fault_injector,
                 store,
                 trace,
-                accumulate_dtype,
                 shm_handoff,
             )
             # Re-home the spans the workers shipped back: their root
@@ -1255,9 +1156,7 @@ def scan_sources(
             # sequence (and hence the bits) never depends on which
             # chunks faulted along the way.
             with span("engine.merge", n_partials=len(results)):
-                merged = StreamingCovariance(
-                    chunks[0].n_cols, accumulate_dtype=accumulate_dtype
-                )
+                merged = StreamingCovariance(chunks[0].n_cols)
                 for index in range(len(chunks)):
                     if index not in results:
                         continue  # quarantined
@@ -1272,7 +1171,6 @@ def scan_sources(
 
     metrics.executor = final_executor
     metrics.n_workers = workers
-    metrics.accumulate_dtype = accumulate_dtype
     metrics.n_sources = len(sources)
     metrics.n_chunks = len(chunks)
     metrics.n_rows = merged.n_rows

@@ -72,12 +72,6 @@ class RatioRuleModel:
     accumulator:
         Covariance accumulator: ``"stable"`` (default) or
         ``"textbook"`` (the paper's Fig. 2a transcription).
-    accumulate_dtype:
-        Accumulation mode for the stable accumulator: ``"float64"``
-        (default, bit-identical to the historical path), ``"raw64"``
-        (BLAS raw-moment accumulation), or ``"float32"`` (raw moments
-        in single precision with float64 centering).  See
-        :data:`~repro.core.covariance.ACCUMULATE_DTYPES`.
     block_rows:
         Rows per block during the single-pass scan.
     seed:
@@ -121,14 +115,12 @@ class RatioRuleModel:
         *,
         backend: str = "numpy",
         accumulator: str = "stable",
-        accumulate_dtype: str = "float64",
         block_rows: int = 4096,
         seed: int = 0,
     ) -> None:
         self.cutoff_policy = resolve_cutoff(cutoff)
         self.backend = check_backend(backend)
         self.accumulator = accumulator
-        self.accumulate_dtype = accumulate_dtype
         self.block_rows = block_rows
         self.seed = seed
         # Learned state (None until fit).
@@ -168,10 +160,8 @@ class RatioRuleModel:
                     reader,
                     block_rows=self.block_rows,
                     accumulator=self.accumulator,
-                    accumulate_dtype=self.accumulate_dtype,
                     metrics=metrics,
                 )
-                metrics.accumulate_dtype = self.accumulate_dtype
             finally:
                 if owns_reader:
                     reader.close()

@@ -55,10 +55,6 @@ class OnlineRatioRuleModel:
         of how the stream is cut into update blocks -- so the rules
         track regime changes
         (:class:`~repro.core.covariance.DecayingCovariance`).
-    accumulate_dtype:
-        Accumulation mode for the non-forgetting accumulator (see
-        :data:`~repro.core.covariance.ACCUMULATE_DTYPES`); only valid
-        with ``decay == 1.0``.
     """
 
     def __init__(
@@ -70,22 +66,14 @@ class OnlineRatioRuleModel:
         backend: str = "numpy",
         min_rows: int = 2,
         decay: float = 1.0,
-        accumulate_dtype: str = "float64",
     ) -> None:
         if min_rows < 2:
             raise ValueError(f"min_rows must be >= 2, got {min_rows}")
         self.decay = float(decay)
         if self.decay < 1.0:
-            if accumulate_dtype != "float64":
-                raise ValueError(
-                    "accumulate_dtype requires decay == 1.0; the decaying "
-                    "accumulator has no raw-moment mode"
-                )
             self._accumulator = DecayingCovariance(n_cols, decay=self.decay)
         else:
-            self._accumulator = StreamingCovariance(
-                n_cols, accumulate_dtype=accumulate_dtype
-            )
+            self._accumulator = StreamingCovariance(n_cols)
         self._schema = schema if schema is not None else TableSchema.generic(n_cols)
         if self._schema.width != n_cols:
             raise ValueError(

@@ -95,7 +95,6 @@ def fit_sharded(
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
     fault_injector=None,
-    accumulate_dtype: str = "float64",
     min_chunk_bytes: Optional[int] = None,
     shm_handoff: bool = True,
 ) -> RatioRuleModel:
@@ -140,10 +139,9 @@ def fit_sharded(
         The resumed model is bit-for-bit the uninterrupted model.
     fault_injector:
         Deterministic test hook (:mod:`repro.testing.faults`).
-    accumulate_dtype, min_chunk_bytes, shm_handoff:
+    min_chunk_bytes, shm_handoff:
         Hot-path tuning knobs forwarded to
-        :func:`repro.core.engine.scan_sources`: the accumulation mode
-        (``"float64"``, ``"raw64"``, ``"float32"``), the adaptive
+        :func:`repro.core.engine.scan_sources`: the adaptive
         chunk-sizing floor, and whether process workers hand partials
         back through shared memory.
 
@@ -170,7 +168,6 @@ def fit_sharded(
             checkpoint=checkpoint,
             resume=resume,
             fault_injector=fault_injector,
-            accumulate_dtype=accumulate_dtype,
             min_chunk_bytes=(
                 MIN_CHUNK_BYTES if min_chunk_bytes is None else min_chunk_bytes
             ),

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import abc
 import csv
+import gzip
 import io
 from pathlib import Path
 from typing import Iterator, List, Optional, Union
@@ -94,6 +95,12 @@ def _line_gulps(handle, stop: Optional[int]) -> Iterator[bytes]:
         yield carry
 
 
+#: Bytes that send a gulp to the per-line parser although they are
+#: ASCII: numpy strips ``\x1c``-``\x1f`` as whitespace where ``float()``
+#: does not, and unquotes ``"1"``.
+_SLOW_PARSE_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def _parse_numeric_csv(data: bytes, width: int, slow_parse) -> np.ndarray:
     """Parse a gulp of numeric CSV lines into an ``(n, width)`` array.
 
@@ -101,11 +108,28 @@ def _parse_numeric_csv(data: bytes, width: int, slow_parse) -> np.ndarray:
     as Python's ``float()`` and runs about an order of magnitude faster
     than a ``csv.reader`` loop.  Anything it cannot digest -- ragged
     rows, stray text, exotic quoting -- is re-parsed by ``slow_parse``
-    (the historical per-line parser), so malformed input produces
+    (the caller's per-line parser), so malformed input produces
     exactly the error message and semantics it always did.
+
+    Some gulps numpy would take are sent to ``slow_parse`` unread,
+    because numpy would accept cells the per-line parsers do not: a
+    non-ASCII byte (numpy decodes latin-1 and strips ``\\xa0`` and
+    ``\\x85`` as whitespace, where UTF-8 decoding fails), one of
+    :data:`_SLOW_PARSE_BYTES`, or a ``\\r`` outside a ``\\r\\n`` (the
+    per-line parsers do not end a row there, a universal-newline
+    tokenizer may).  The fit reader, its ``.gz`` path and the tail
+    source therefore accept the same cells.
     """
-    if not data.strip():
+    if not data.strip(b"\r\n"):
+        # Only line ends: blank lines to every per-line parser.  Other
+        # whitespace is not blank to ``csv.reader``, so it goes on.
         return np.empty((0, width), dtype=np.float64)
+    if (
+        not data.isascii()
+        or any(odd in data for odd in _SLOW_PARSE_BYTES)
+        or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
+    ):
+        return slow_parse(data)
     try:
         parsed = np.loadtxt(
             io.BytesIO(data),
@@ -410,7 +434,9 @@ class CSVReader(MatrixReader):
     def _iter_text_blocks(self, block_rows: int) -> Iterator[np.ndarray]:
         width = self._schema.width
         buffer = []
-        with open_text(self._path) as handle:
+        # Lines end at "\n" only, as in the gulp path's per-line parser,
+        # so a lone "\r" is the same error with or without gzip.
+        with gzip.open(self._path, "rt", newline="\n") as handle:
             reader = csv.reader(handle)
             next(reader)  # header
             for line_number, record in enumerate(reader, start=2):
@@ -536,10 +562,9 @@ class CSVChunkReader(MatrixReader):
             line_start = offset
             offset += len(raw)
             index = end
-            text = raw.decode("utf-8").strip()
-            if not text:
+            record = next(csv.reader([raw.decode("utf-8")]), [])
+            if not record:
                 continue
-            record = next(csv.reader([text]))
             if len(record) != width:
                 raise CSVFormatError(
                     f"{self._path} @ byte {line_start}: expected {width} "

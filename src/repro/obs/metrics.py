@@ -358,10 +358,6 @@ class ScanMetrics(MetricsRecord):
     n_chunks_resumed:
         Chunks skipped because a checkpoint already held their
         partial accumulators.
-    accumulate_dtype:
-        Accumulation mode of the scan (``"float64"``, ``"raw64"``, or
-        ``"float32"``); a mode describes one scan, so ``merge`` keeps
-        the receiver's value.
     n_shm_handoffs:
         Chunk partials returned through a shared-memory segment
         instead of being pickled back through the pool.
@@ -391,7 +387,6 @@ class ScanMetrics(MetricsRecord):
     bytes_quarantined: int = counter(0)
     n_executor_downgrades: int = counter(0)
     n_chunks_resumed: int = counter(0)
-    accumulate_dtype: str = gauge("float64")
     n_shm_handoffs: int = counter(0)
     n_pickled_handoffs: int = counter(0)
     quarantined: list = samples()
@@ -423,9 +418,8 @@ class ScanMetrics(MetricsRecord):
             f"{self.bytes_quarantined} byte(s) lost)",
             f"downgrades    {self.n_executor_downgrades}",
             f"resumed       {self.n_chunks_resumed} chunk(s) from checkpoint",
-            f"accumulate    {self.accumulate_dtype}  "
-            f"({self.n_shm_handoffs} shm / "
-            f"{self.n_pickled_handoffs} pickled handoff(s))",
+            f"handoffs      {self.n_shm_handoffs} shm / "
+            f"{self.n_pickled_handoffs} pickled",
             f"scan time     {self.scan_seconds:.4f} s  ({throughput_text})",
             f"solve time    {self.solve_seconds:.4f} s",
             f"total time    {self.total_seconds:.4f} s",
@@ -541,9 +535,7 @@ class PipelineMetrics(MetricsRecord):
             return 0.0
         return self.reservoir_rows / self.reservoir_capacity
 
-    def record_refresh(
-        self, *, version: int, reason: str, seconds: float
-    ) -> None:
+    def record_refresh(self, *, version: int, reason: str, seconds: float) -> None:
         """Fold one refit-and-publish into the record."""
         self.n_refreshes += 1
         self.refresh_reasons[reason] = self.refresh_reasons.get(reason, 0) + 1
@@ -869,9 +861,7 @@ class ServeHttpMetrics(MetricsRecord):
         """One request admitted to the coalescing queue."""
         with self._lock:
             self.queue_depth = int(queue_depth)
-            self.queue_depth_peak = max(
-                self.queue_depth_peak, int(queue_depth)
-            )
+            self.queue_depth_peak = max(self.queue_depth_peak, int(queue_depth))
 
     def record_flush(
         self,

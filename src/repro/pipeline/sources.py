@@ -48,15 +48,6 @@ __all__ = [
 #: behavior, minus the context); ``"skip"`` drops the row and counts it.
 BAD_ROW_POLICIES = ("raise", "skip")
 
-#: Bytes a gulp may hold and still take the ``np.loadtxt`` path:
-#: printable ASCII but the quote, plus the whitespace ``float()`` strips.
-#: numpy reads other bytes as latin-1 and strips some that the per-line
-#: parser rejects (``\xa0``, ``\x85``, ``\x1c``-``\x1f``), and it unquotes
-#: ``"1"`` where the per-line parser reports a bad row, so a gulp holding
-#: any of them goes to the per-line parser, whose errors are the contract.
-_FAST_PARSE_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n\r\x0b\x0c"
-
-
 class BatchSource(abc.ABC):
     """Pollable row source; see the module docstring for the contract."""
 
@@ -297,18 +288,12 @@ class CSVTailSource(BatchSource):
         """Parse whole lines into an ``(n, n_cols)`` array.
 
         One ``np.loadtxt`` call gives the same bits as ``float()`` per
-        cell.  A gulp it cannot take whole -- a bad row, an odd byte, a
-        quote -- is parsed again by :meth:`_parse_complete`, so errors,
-        byte offsets and skip counts are exactly the per-line parser's.
-        A ``\\r`` outside a ``\\r\\n`` also sends the gulp there: the
-        per-line parser splits lines at ``\\n`` only, while a tokenizer
-        with universal newlines may end a row at a lone ``\\r``.
+        cell.  A gulp it cannot take whole, or that holds a byte it
+        would read differently (see
+        :func:`~repro.io.matrix_reader._parse_numeric_csv`), is parsed
+        by :meth:`_parse_complete`, so errors, byte offsets and skip
+        counts are exactly the per-line parser's.
         """
-        lone_cr = b"\r" in complete and (
-            complete.count(b"\r") != complete.count(b"\r\n")
-        )
-        if lone_cr or complete.translate(None, _FAST_PARSE_BYTES):
-            return self._parse_complete(complete)
         return _parse_numeric_csv(complete, self.n_cols, self._parse_complete)
 
     def _parse_complete(self, complete: bytes) -> np.ndarray:

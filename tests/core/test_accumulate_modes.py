@@ -1,14 +1,13 @@
-"""Differential tests for the accumulation modes and the shm handoff.
+"""Differential tests for the one accumulation path and the shm handoff.
 
-The hot-path rework (raw-moment BLAS accumulation, memory-mapped row
-stores, gulp CSV parsing, shared-memory partial handoff) is only
-shippable because the default ``float64`` mode is *bit-identical* to
-the historical path -- same block centering, same merge tree, same
-reduction order.  Hypothesis drives random matrices through the old
-in-memory accumulation and the new scan paths and asserts exact
-equality; the opt-in ``raw64`` / ``float32`` modes get tolerance
-bounds instead (raw-moment centering is not bit-compatible with
-Chan's update by construction).
+The hot-path rework (memory-mapped row stores, gulp CSV parsing,
+shared-memory partial handoff) is only shippable because the stable
+``float64`` accumulation is *bit-identical* to the historical path --
+same block centering, same merge tree, same reduction order.
+Hypothesis drives random matrices through the in-memory accumulation
+and the file scan paths and asserts exact equality.  Snapshots of the
+retired raw-moment modes are refused by name; ``test_covariance.py``
+and ``test_checkpoint.py`` check that.
 
 Process-pool cases (the shared-memory handoff itself) live in fixed
 tests -- pool spawn per hypothesis example is too slow.
@@ -17,11 +16,10 @@ tests -- pool spawn per hypothesis example is too slow.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.covariance import ACCUMULATE_DTYPES, StreamingCovariance
+from repro.core.covariance import StreamingCovariance
 from repro.core.engine import scan_sources
 from repro.io.csv_format import save_csv_matrix
 from repro.io.rowstore import RowStore
@@ -56,93 +54,19 @@ class TestModeDifferential:
     def test_float64_mode_is_the_legacy_path_bitwise(self, case):
         matrix = _make_matrix(case["seed"], case["n_rows"], case["n_cols"])
         legacy = _reference(matrix, case["block_rows"])
-        explicit = StreamingCovariance(
-            matrix.shape[1], accumulate_dtype="float64"
-        )
+        explicit = StreamingCovariance(matrix.shape[1])
         for start in range(0, matrix.shape[0], case["block_rows"]):
             explicit.update(matrix[start : start + case["block_rows"]])
+            # Snapshots written while the raw modes existed carry a
+            # ``"mode": "float64"`` tag; reloading one mid-stream must
+            # not move a bit.
+            explicit = StreamingCovariance.from_state(
+                {"mode": "float64", **explicit.state()}
+            )
         assert np.array_equal(
             legacy.scatter_matrix(), explicit.scatter_matrix()
         )
         assert np.array_equal(legacy.column_means, explicit.column_means)
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=cases)
-    def test_raw64_matches_float64_within_tolerance(self, case):
-        matrix = _make_matrix(case["seed"], case["n_rows"], case["n_cols"])
-        expected = _reference(matrix, case["block_rows"]).scatter_matrix()
-        raw = StreamingCovariance(matrix.shape[1], accumulate_dtype="raw64")
-        for start in range(0, matrix.shape[0], case["block_rows"]):
-            raw.update(matrix[start : start + case["block_rows"]])
-        scale = max(1.0, float(np.abs(expected).max()))
-        assert np.allclose(
-            raw.scatter_matrix(), expected, rtol=1e-8, atol=1e-8 * scale
-        )
-        assert np.allclose(
-            raw.column_means,
-            _reference(matrix, case["block_rows"]).column_means,
-            rtol=1e-12,
-            atol=1e-12,
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=cases)
-    def test_float32_matches_float64_within_loose_tolerance(self, case):
-        matrix = _make_matrix(case["seed"], case["n_rows"], case["n_cols"])
-        expected = _reference(matrix, case["block_rows"]).scatter_matrix()
-        compact = StreamingCovariance(
-            matrix.shape[1], accumulate_dtype="float32"
-        )
-        for start in range(0, matrix.shape[0], case["block_rows"]):
-            compact.update(matrix[start : start + case["block_rows"]])
-        scale = max(1.0, float(np.abs(expected).max()))
-        assert np.allclose(
-            compact.scatter_matrix(), expected, rtol=1e-3, atol=1e-3 * scale
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(case=cases, split=st.integers(min_value=1, max_value=5))
-    def test_raw_mode_merge_matches_single_accumulation(self, case, split):
-        matrix = _make_matrix(case["seed"], case["n_rows"], case["n_cols"])
-        whole = StreamingCovariance(matrix.shape[1], accumulate_dtype="raw64")
-        whole.update(matrix)
-        merged = StreamingCovariance(matrix.shape[1], accumulate_dtype="raw64")
-        for part in np.array_split(matrix, split):
-            partial = StreamingCovariance(
-                matrix.shape[1], accumulate_dtype="raw64"
-            )
-            if part.size:
-                partial.update(part)
-            merged.merge(partial)
-        scale = max(1.0, float(np.abs(whole.scatter_matrix()).max()))
-        assert np.allclose(
-            merged.scatter_matrix(),
-            whole.scatter_matrix(),
-            rtol=1e-10,
-            atol=1e-10 * scale,
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        case=cases,
-        mode=st.sampled_from(ACCUMULATE_DTYPES),
-    )
-    def test_state_round_trip_every_mode(self, case, mode):
-        matrix = _make_matrix(case["seed"], case["n_rows"], case["n_cols"])
-        original = StreamingCovariance(matrix.shape[1], accumulate_dtype=mode)
-        original.update(matrix)
-        restored = StreamingCovariance.from_state(original.state())
-        assert restored.accumulate_dtype == mode
-        assert np.array_equal(
-            restored.scatter_matrix(), original.scatter_matrix()
-        )
-        assert np.array_equal(restored.column_means, original.column_means)
-
-    def test_mixed_mode_merge_rejected(self):
-        left = StreamingCovariance(3, accumulate_dtype="raw64")
-        right = StreamingCovariance(3, accumulate_dtype="float64")
-        with pytest.raises(ValueError, match="accumulate_dtype"):
-            left.merge(right)
 
 
 class TestEngineModeDifferential:
@@ -190,28 +114,6 @@ class TestEngineModeDifferential:
             reference.accumulator.column_means,
         )
 
-    @pytest.mark.parametrize("mode", ["raw64", "float32"])
-    def test_engine_raw_modes_close_to_default(self, tmp_path, mode):
-        matrix = _make_matrix(7, 300, 5)
-        path = tmp_path / "data.csv"
-        save_csv_matrix(path, matrix)
-        default = scan_sources([path], executor="serial")
-        raw = scan_sources([path], executor="serial", accumulate_dtype=mode)
-        assert raw.metrics.accumulate_dtype == mode
-        expected = default.accumulator.scatter_matrix()
-        scale = max(1.0, float(np.abs(expected).max()))
-        rtol = 1e-8 if mode == "raw64" else 1e-3
-        assert np.allclose(
-            raw.accumulator.scatter_matrix(),
-            expected,
-            rtol=rtol,
-            atol=rtol * scale,
-        )
-
-    def test_invalid_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="accumulate_dtype"):
-            scan_sources([np.ones((4, 2))], accumulate_dtype="float16")
-
 
 class TestSharedMemoryHandoff:
     """Tier-1-safe smoke tests for the process-pool shm return path."""
@@ -258,85 +160,6 @@ class TestSharedMemoryHandoff:
             with_shm.accumulator.scatter_matrix(),
             without.accumulator.scatter_matrix(),
         )
-
-    @pytest.mark.parametrize("mode", ["raw64", "float32"])
-    def test_shm_handoff_carries_raw_modes(self, tmp_path, mode):
-        matrix = _make_matrix(17, 180, 4)
-        path = tmp_path / "data.csv"
-        save_csv_matrix(path, matrix)
-        serial = scan_sources(
-            [path], executor="serial", target_chunks=3, accumulate_dtype=mode
-        )
-        pooled = scan_sources(
-            [path],
-            executor="process",
-            max_workers=2,
-            target_chunks=3,
-            accumulate_dtype=mode,
-        )
-        assert pooled.metrics.n_shm_handoffs == 3
-        expected = serial.accumulator.scatter_matrix()
-        scale = max(1.0, float(np.abs(expected).max()))
-        # Same chunk plan, same per-chunk arithmetic: the only delta
-        # is merge order, which the engine pins -- so even the raw
-        # modes agree bitwise across fabrics.
-        assert np.allclose(
-            pooled.accumulator.scatter_matrix(),
-            expected,
-            rtol=1e-12,
-            atol=1e-12 * scale,
-        )
-
-
-class TestRawModeCheckpoints:
-    @pytest.mark.parametrize("mode", ["raw64", "float32"])
-    def test_checkpoint_resume_round_trips_raw_modes(self, tmp_path, mode):
-        matrix = _make_matrix(31, 160, 4)
-        path = tmp_path / "data.csv"
-        save_csv_matrix(path, matrix)
-        ckpt = tmp_path / "scan.ckpt"
-        first = scan_sources(
-            [path],
-            executor="serial",
-            target_chunks=4,
-            checkpoint=ckpt,
-            accumulate_dtype=mode,
-        )
-        resumed = scan_sources(
-            [path],
-            executor="serial",
-            target_chunks=4,
-            checkpoint=ckpt,
-            resume=True,
-            accumulate_dtype=mode,
-        )
-        assert resumed.metrics.n_chunks_resumed == 4
-        assert np.array_equal(
-            resumed.accumulator.scatter_matrix(),
-            first.accumulator.scatter_matrix(),
-        )
-
-    def test_mode_is_part_of_the_plan_fingerprint(self, tmp_path):
-        matrix = _make_matrix(37, 80, 3)
-        path = tmp_path / "data.csv"
-        save_csv_matrix(path, matrix)
-        ckpt = tmp_path / "scan.ckpt"
-        scan_sources(
-            [path],
-            executor="serial",
-            target_chunks=2,
-            checkpoint=ckpt,
-            accumulate_dtype="raw64",
-        )
-        # A different mode must not resume from these partials.
-        with pytest.raises(ValueError, match="different scan plan"):
-            scan_sources(
-                [path],
-                executor="serial",
-                target_chunks=2,
-                checkpoint=ckpt,
-                resume=True,
-            )
 
 
 class TestAdaptiveChunkSizing:

@@ -8,11 +8,19 @@ cross-process attempt counters, which persist in the shared state dir
 across both runs.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.covariance import StreamingCovariance
-from repro.core.engine import ScanCheckpoint, ScanFaultError, plan_chunks, scan_sources
+from repro.core.engine import (
+    ScanCheckpoint,
+    ScanChunk,
+    ScanFaultError,
+    plan_chunks,
+    scan_sources,
+)
 from repro.core.parallel import fit_sharded
 from repro.io.csv_format import save_csv_matrix
 from repro.testing import FaultInjector
@@ -114,6 +122,85 @@ class TestScanSourcesValidation:
                 block_rows=7,
                 checkpoint=path,
                 resume=True,
+            )
+
+
+class TestCheckpointCompatibility:
+    """Checkpoints written before the raw accumulation modes were
+    retired: ``float64`` ones still resume, raw-mode ones fail loudly."""
+
+    # ScanCheckpoint._fingerprint for this plan, frozen from the
+    # release that still had the raw modes: a checkpoint it wrote
+    # resumes only while the fingerprint stays byte-identical.
+    GOLDEN_FINGERPRINT = (
+        '{"block_rows": 4096, "chunks": [{"kind": "csv", "n_cols": 4, '
+        '"source": "shards/part-0.csv", "start": 12, "stop": 40960}, '
+        '{"kind": "rowstore", "n_cols": 4, "source": "shards/part-1.rr", '
+        '"start": 0, "stop": 1000}]}'
+    )
+
+    def test_float64_fingerprint_matches_the_frozen_golden(self, tmp_path):
+        chunks = [
+            ScanChunk("csv", "shards/part-0.csv", 12, 40960, 4),
+            ScanChunk("rowstore", "shards/part-1.rr", 0, 1000, 4),
+        ]
+        assert ScanCheckpoint._fingerprint(chunks, 4096) == self.GOLDEN_FINGERPRINT
+        store = ScanCheckpoint(tmp_path / "scan.ckpt")
+        store.bind_plan(chunks, 4096)
+        store.flush()
+        assert ScanCheckpoint.load(tmp_path / "scan.ckpt").matches(chunks, 4096)
+
+    @staticmethod
+    def _rewrite_as_raw_mode(path, mode):
+        """Turn a float64 checkpoint into the raw-mode layout older
+        releases wrote: the mode in the plan and per chunk, and column
+        sums plus raw co-moments instead of mean and scatter."""
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        plan = json.loads(str(arrays["plan_json"][0]))
+        plan["accumulate_dtype"] = mode
+        arrays["plan_json"] = np.asarray([json.dumps(plan, sort_keys=True)])
+        for index in arrays["done"].tolist():
+            count = int(arrays[f"count_{index}"])
+            mean = arrays.pop(f"mean_{index}")
+            scatter = arrays.pop(f"scatter_{index}")
+            arrays[f"mode_{index}"] = np.asarray([mode])
+            arrays[f"colsum_{index}"] = mean * count
+            arrays[f"raw_{index}"] = scatter + count * np.outer(mean, mean)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+
+    @pytest.mark.parametrize("mode", ["raw64", "float32"])
+    def test_raw_mode_checkpoint_refuses_to_resume_by_name(
+        self, tmp_path, csv_shards, mode
+    ):
+        path = tmp_path / "scan.ckpt"
+        scan_sources(csv_shards, executor="serial", checkpoint=path)
+        self._rewrite_as_raw_mode(path, mode)
+        with pytest.raises(ValueError, match=f"'{mode}' is no longer supported"):
+            scan_sources(
+                csv_shards, executor="serial", checkpoint=path, resume=True
+            )
+
+    def test_raw_mode_checkpoint_without_chunks_is_a_plan_mismatch(
+        self, tmp_path, csv_shards
+    ):
+        chunks = [
+            chunk
+            for shard in csv_shards
+            for chunk in plan_chunks(shard, target_chunks=1)[0]
+        ]
+        path = tmp_path / "scan.ckpt"
+        store = ScanCheckpoint(path)
+        store.bind_plan(chunks, 4096)
+        store.flush()
+        # As written, the empty checkpoint is this scan's plan...
+        assert ScanCheckpoint.load(path).matches(chunks, 4096)
+        self._rewrite_as_raw_mode(path, "raw64")
+        # ...but the raw mode's fingerprint is not.
+        with pytest.raises(ValueError, match="different scan plan"):
+            scan_sources(
+                csv_shards, executor="serial", checkpoint=path, resume=True
             )
 
 

@@ -150,6 +150,37 @@ class TestStreamingCovariance:
                 {"count": -1, "mean": np.zeros(2), "scatter": np.zeros((2, 2))}
             )
 
+    def test_state_without_mode_key_loads_bit_for_bit(self, rng):
+        matrix = rng.standard_normal((80, 3)) * 5 + 2
+        acc = StreamingCovariance(3)
+        acc.update(matrix[:50])
+        # The snapshot layout every checkpoint before and after the raw
+        # modes used: no ``mode`` key, just count, mean and scatter.
+        legacy = {
+            "count": 50,
+            "mean": acc.column_means,
+            "scatter": acc.state()["scatter"],
+        }
+        clone = StreamingCovariance.from_state(legacy)
+        assert clone.n_rows == 50
+        np.testing.assert_array_equal(clone.state()["scatter"], legacy["scatter"])
+        np.testing.assert_array_equal(clone.column_means, legacy["mean"])
+        acc.update(matrix[50:])
+        clone.update(matrix[50:])
+        np.testing.assert_array_equal(clone.scatter_matrix(), acc.scatter_matrix())
+        np.testing.assert_array_equal(clone.column_means, acc.column_means)
+
+    @pytest.mark.parametrize("mode", ["raw64", "float32"])
+    def test_retired_mode_state_is_refused_by_name(self, mode):
+        state = {
+            "mode": mode,
+            "count": 3,
+            "colsum": np.ones(2),
+            "raw": np.eye(2),
+        }
+        with pytest.raises(ValueError, match=f"'{mode}' is no longer supported"):
+            StreamingCovariance.from_state(state)
+
     def test_stable_under_huge_offset(self, rng):
         """The motivating case: mean >> spread."""
         base = rng.standard_normal((500, 3))

@@ -84,7 +84,6 @@ def scan_records():
         bytes_quarantined=_counts,
         n_executor_downgrades=_counts,
         n_chunks_resumed=_counts,
-        accumulate_dtype=st.sampled_from(["float64", "raw64", "float32"]),
         n_shm_handoffs=_counts,
         n_pickled_handoffs=_counts,
         quarantined=_quarantine_entries,
@@ -276,7 +275,7 @@ _SUMMED = {
     ),
 }
 _RECEIVER_KEPT = {
-    ScanMetrics: ("executor", "n_workers", "accumulate_dtype"),
+    ScanMetrics: ("executor", "n_workers"),
     PipelineMetrics: (
         "last_refresh_reason", "last_version", "last_guessing_error",
         "baseline_guessing_error", "last_angle_degrees", "reservoir_rows",

@@ -230,11 +230,16 @@ def test_bytes_numpy_would_accept_stay_bad_rows(tmp_path, monkeypatch, line):
     path = tmp_path / "feed.csv"
     path.write_bytes(HEADER + line + b"\n")
     source = CSVTailSource(path, on_bad_row="skip")
+    # The guard sits inside the shared gulp parser, which swallows any
+    # loadtxt exception, so the probe counts calls instead of raising.
+    loadtxt_calls = []
+    loadtxt = np.loadtxt
 
-    def no_loadtxt(*args):
-        raise AssertionError("took the loadtxt path")
+    def counting_loadtxt(*args, **kwargs):
+        loadtxt_calls.append(args)
+        return loadtxt(*args, **kwargs)
 
-    monkeypatch.setattr("repro.pipeline.sources._parse_numeric_csv", no_loadtxt)
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
     try:
         if line.isascii():
             assert source.poll(10).shape == (0, N_COLS)
@@ -244,3 +249,4 @@ def test_bytes_numpy_would_accept_stay_bad_rows(tmp_path, monkeypatch, line):
                 source.poll(10)
     finally:
         source.close()
+    assert loadtxt_calls == [], "took the loadtxt path"
